@@ -18,19 +18,28 @@ pub const ACTION_DISPATCH_WARM: SimDuration = SimDuration::from_nanos(100);
 /// consults the dirty log, but performs no register access or transfer.
 pub const ACTION_RESIDENT_SKIP: SimDuration = SimDuration::from_nanos(20);
 
-/// Hashing throughput for the residency hash fallback (verifying a dump's
-/// backing memory is byte-identical when the dirty log overflowed),
-/// bytes/sec. Faster than an upload — it reads DRAM once and does ALU
+/// Modelled, not calibrated: content-check throughput for the residency
+/// overflow fallback, bytes/sec. When the dirty log overflowed, the
+/// replayer reads a dump's backing memory back and compares it byte for
+/// byte against the dump loaded with the recording (`load` no longer
+/// hashes dumps). Faster than an upload — it reads DRAM once and does ALU
 /// work — but far from free, which is why the log is the primary proof.
 pub const HASH_BW: f64 = 8.0e9;
 
-/// Static verification per action (§5.1).
+/// Modelled, not calibrated: static verification per action (§5.1).
 pub const VERIFY_PER_ACTION: SimDuration = SimDuration::from_nanos(150);
 
-/// Reading the recording from storage (eMMC-class flash), bytes/sec.
+/// Modelled, not calibrated: reading the recording from storage
+/// (eMMC-class flash), bytes/sec.
 pub const STORAGE_BW: f64 = 120e6;
 
-/// GRZ decompression throughput, bytes/sec.
+/// Modelled, not calibrated: GRZ decompression throughput, bytes/sec.
+/// For comparison, the wall-clock decode of the 7.27 MB AlexNet/G71
+/// container (`recording.decode_mb_s` from `perfbench --workload
+/// cold_start --trace 1`: checksum, parse and GRZ decode on a shared
+/// 2-vCPU x86-64 host) measured 168–256 MB/s with the byte-at-a-time
+/// checksum and decoder, and 802–935 MB/s with the word-wise checksum and
+/// bulk decoder.
 pub const DECOMPRESS_BW: f64 = 300e6;
 
 /// Copying dumps into GPU memory, bytes/sec.

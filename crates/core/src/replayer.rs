@@ -4,7 +4,6 @@ use std::collections::HashMap;
 
 use gr_gpu::machine::WaitOutcome;
 use gr_recording::{Action, Recording};
-use gr_sim::trace::fnv1a;
 use gr_sim::{SimDuration, SimTime};
 use gr_soc::{DirtyMark, IrqLine};
 
@@ -143,13 +142,14 @@ pub struct BatchReport {
     /// of these actually executed this batch — the rest were elided by
     /// cross-batch warm residency.
     pub prologue_actions: usize,
-    /// Prologue actions elided because the dirty log (or its hash
-    /// fallback) proved their backing memory unchanged since the previous
-    /// batch of the same recording on this warm machine.
+    /// Prologue actions elided because the dirty log (or its overflow
+    /// fallback's byte comparison) proved their backing memory unchanged
+    /// since the previous batch of the same recording on this warm
+    /// machine.
     pub prologue_skipped: usize,
     /// Dump bytes a *resident* batch re-uploaded to re-establish the
     /// post-prologue memory image: only the log-proven dirty subranges of
-    /// each dump (or a whole dump on a hash-fallback mismatch). Always 0
+    /// each dump (or a whole dump on an overflow-fallback mismatch). Always 0
     /// for a non-resident batch, which uploads everything via the full
     /// prologue instead.
     pub resident_reupload_bytes: u64,
@@ -178,9 +178,6 @@ struct Loaded {
     /// Verifier fact: the prologue's shape admits cross-batch residency
     /// (see `VerifyReport::residency_safe`).
     residency_safe: bool,
-    /// FNV-1a over each dump's bytes, the static side of the residency
-    /// hash fallback (dump content never changes after load).
-    dump_hashes: Vec<u64>,
 }
 
 /// Cross-batch warm residency: what the previous successful warm batch of
@@ -314,14 +311,12 @@ impl Replayer {
         self.env
             .machine()
             .advance(costs::VERIFY_PER_ACTION * report.actions as u64);
-        let dump_hashes = rec.dumps.iter().map(|d| fnv1a(&d.bytes)).collect();
         self.loaded.push(Loaded {
             rec,
             dead_uploads: report.dead_uploads.into_iter().collect(),
             batch_split: report.batch_split,
             prologue_ranges: report.prologue_ranges,
             residency_safe: report.residency_safe,
-            dump_hashes,
         });
         Ok(self.loaded.len() - 1)
     }
@@ -530,10 +525,11 @@ impl Replayer {
 
         // Cross-batch warm residency: when the previous successful warm
         // batch was this same recording and the dirty log proves (or its
-        // hash fallback verifies) the prologue's backing memory unchanged,
-        // elide the prologue instead of re-establishing state. Taking the
-        // anchor here means any error return below leaves residency
-        // dropped — only a fully successful batch re-arms it.
+        // overflow fallback's byte comparison verifies) the prologue's
+        // backing memory unchanged, elide the prologue instead of
+        // re-establishing state. Taking the anchor here means any error
+        // return below leaves residency dropped — only a fully successful
+        // batch re-arms it.
         let mut prologue_skipped = 0usize;
         let mut reupload_bytes = 0u64;
         let mut resident = false;
@@ -692,8 +688,8 @@ impl Replayer {
     /// * subranges the suffix overwrites before any read, and bytes a
     ///   later prologue upload covers, skip restoration — nothing can
     ///   observe them before their final content is re-established;
-    /// * `Unknown` verdicts (log overflowed past the mark) fall back to a
-    ///   content hash against the dump's load-time hash — a match keeps
+    /// * `Unknown` verdicts (log overflowed past the mark) fall back to
+    ///   comparing the range's bytes against the loaded dump — a match keeps
     ///   the action elided, a mismatch (or an overlapped dump, whose
     ///   post-prologue content is not its own bytes) re-uploads the whole
     ///   dump.
@@ -746,12 +742,13 @@ impl Replayer {
             }
             if unknown {
                 if pr.hash_skippable {
-                    // The log cannot answer (overflow): verify content
-                    // against the dump's load-time hash, charging the read.
+                    // The log cannot answer (overflow): compare the memory
+                    // against the loaded dump (hash-skippable ranges span
+                    // exactly the dump), charging the read at `HASH_BW`.
                     machine.advance(costs::xfer(pr.len, costs::HASH_BW));
                     let mut buf = vec![0u8; pr.len as usize];
                     self.nano.read_va(pr.va, &mut buf)?;
-                    if fnv1a(&buf) != self.loaded[id].dump_hashes[pr.upload as usize] {
+                    if buf != self.loaded[id].rec.dumps[pr.upload as usize].bytes {
                         let mut whole = IntervalSet::new();
                         whole.insert(pr.va, pr.va + pr.len);
                         plans.push((pr.index, pr.upload, whole));

@@ -143,56 +143,101 @@ pub fn grz_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Largest output a GRZ body of `body_len` bytes can expand to. The
+/// densest group is one flag byte plus eight 3-byte maximal matches: 25
+/// stream bytes for `8 * MAX_MATCH` output bytes. No token mix beats that
+/// ratio (a literal yields one byte per stream byte), so the bound holds
+/// for any body, truncated groups included.
+fn max_expansion(body_len: usize) -> u64 {
+    body_len as u64 * (8 * MAX_MATCH as u64) / 25
+}
+
+/// Validates a GRZ stream's header and returns its claimed output length.
+///
+/// The length comes from untrusted input, so a claim larger than the rest
+/// of the stream can possibly expand to ([`max_expansion`]) is rejected
+/// here, before anything is allocated.
+///
+/// # Errors
+///
+/// [`GrzError::BadHeader`] for a missing/short header,
+/// [`GrzError::Truncated`] for a length the body cannot produce.
+pub(crate) fn grz_len(stream: &[u8]) -> Result<usize, GrzError> {
+    if stream.len() < 8 || &stream[0..4] != MAGIC {
+        return Err(GrzError::BadHeader);
+    }
+    let out_len = u32::from_le_bytes(stream[4..8].try_into().expect("len checked"));
+    if u64::from(out_len) > max_expansion(stream.len() - 8) {
+        return Err(GrzError::Truncated);
+    }
+    Ok(out_len as usize)
+}
+
 /// Decompresses a GRZ stream.
+///
+/// Decodes into a buffer sized up front from the (bounded) header length.
+/// An all-literal group copies as one 8-byte slice; a match copies with
+/// `copy_within` unless it overlaps its own output (distance shorter than
+/// length), which replicates byte by byte.
 ///
 /// # Errors
 ///
 /// Returns [`GrzError`] for malformed streams.
 pub fn grz_decompress(stream: &[u8]) -> Result<Vec<u8>, GrzError> {
-    if stream.len() < 8 || &stream[0..4] != MAGIC {
-        return Err(GrzError::BadHeader);
-    }
-    let out_len = u32::from_le_bytes(stream[4..8].try_into().expect("len checked")) as usize;
-    let mut out = Vec::with_capacity(out_len);
-    let mut pos = 8usize;
-    while out.len() < out_len {
-        let Some(&flag) = stream.get(pos) else {
+    let out_len = grz_len(stream)?;
+    let body = &stream[8..];
+    let mut out = vec![0u8; out_len];
+    let mut o = 0usize;
+    let mut pos = 0usize;
+    while o < out_len {
+        let Some(&flag) = body.get(pos) else {
             return Err(GrzError::Truncated);
         };
         pos += 1;
+        if flag == 0 && out_len - o >= 8 {
+            if let Some(lits) = body.get(pos..pos + 8) {
+                out[o..o + 8].copy_from_slice(lits);
+                o += 8;
+                pos += 8;
+                continue;
+            }
+        }
         for t in 0..8 {
-            if out.len() >= out_len {
+            if o >= out_len {
                 break;
             }
             if flag & (1 << t) != 0 {
-                if pos + 3 > stream.len() {
+                let Some(m) = body.get(pos..pos + 3) else {
                     return Err(GrzError::Truncated);
-                }
-                let b0 = stream[pos] as usize;
-                let b1 = stream[pos + 1] as usize;
-                let b2 = stream[pos + 2] as usize;
+                };
                 pos += 3;
+                let (b0, b1, b2) = (m[0] as usize, m[1] as usize, m[2] as usize);
                 let dist = ((b0 << 4) | (b1 >> 4)) + 1;
                 let len = (((b1 & 0xF) << 8) | b2) + MIN_MATCH;
-                if dist > out.len() {
+                if dist > o {
                     return Err(GrzError::BadMatch);
                 }
-                let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                if len > out_len - o {
+                    return Err(GrzError::LengthMismatch);
                 }
+                let start = o - dist;
+                if dist >= len {
+                    out.copy_within(start..start + len, o);
+                } else {
+                    for k in 0..len {
+                        out[o + k] = out[start + k];
+                    }
+                }
+                o += len;
             } else {
-                let Some(&b) = stream.get(pos) else {
+                let Some(&b) = body.get(pos) else {
                     return Err(GrzError::Truncated);
                 };
                 pos += 1;
-                out.push(b);
+                out[o] = b;
+                o += 1;
             }
         }
-    }
-    if out.len() != out_len {
-        return Err(GrzError::LengthMismatch);
     }
     Ok(out)
 }
@@ -202,11 +247,138 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The original byte-at-a-time decoder, kept as the differential
+    /// oracle for [`grz_decompress`]. Only its initial capacity is capped,
+    /// so hostile length claims in the fuzz cases do not reserve gigabytes.
+    fn oracle_decompress(stream: &[u8]) -> Result<Vec<u8>, GrzError> {
+        if stream.len() < 8 || &stream[0..4] != MAGIC {
+            return Err(GrzError::BadHeader);
+        }
+        let out_len = u32::from_le_bytes(stream[4..8].try_into().expect("len checked")) as usize;
+        let mut out = Vec::with_capacity(out_len.min(1 << 16));
+        let mut pos = 8usize;
+        while out.len() < out_len {
+            let Some(&flag) = stream.get(pos) else {
+                return Err(GrzError::Truncated);
+            };
+            pos += 1;
+            for t in 0..8 {
+                if out.len() >= out_len {
+                    break;
+                }
+                if flag & (1 << t) != 0 {
+                    if pos + 3 > stream.len() {
+                        return Err(GrzError::Truncated);
+                    }
+                    let b0 = stream[pos] as usize;
+                    let b1 = stream[pos + 1] as usize;
+                    let b2 = stream[pos + 2] as usize;
+                    pos += 3;
+                    let dist = ((b0 << 4) | (b1 >> 4)) + 1;
+                    let len = (((b1 & 0xF) << 8) | b2) + MIN_MATCH;
+                    if dist > out.len() {
+                        return Err(GrzError::BadMatch);
+                    }
+                    let start = out.len() - dist;
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
+                } else {
+                    let Some(&b) = stream.get(pos) else {
+                        return Err(GrzError::Truncated);
+                    };
+                    pos += 1;
+                    out.push(b);
+                }
+            }
+        }
+        if out.len() != out_len {
+            return Err(GrzError::LengthMismatch);
+        }
+        Ok(out)
+    }
+
+    /// Round-trips `data` and checks the decoder against the oracle.
     fn roundtrip(data: &[u8]) {
         let z = grz_compress(data);
         let back = grz_decompress(&z).unwrap();
         assert_eq!(back, data);
+        assert_eq!(oracle_decompress(&z).unwrap(), back);
     }
+
+    /// Both decoders agree: identical bytes when the oracle accepts, an
+    /// error when it rejects — the same variant unless the up-front length
+    /// bound is what refused the stream.
+    fn differential(stream: &[u8]) {
+        let got = grz_decompress(stream);
+        match oracle_decompress(stream) {
+            Ok(want) => assert_eq!(got, Ok(want)),
+            Err(_) if grz_len(stream) == Err(GrzError::Truncated) => {
+                assert_eq!(got, Err(GrzError::Truncated));
+            }
+            Err(e) => assert_eq!(got, Err(e)),
+        }
+    }
+
+    /// Hand-encodes a stream from `(a, b)` token seeds, including matches
+    /// that overlap their own output (`dist < len`), which the compressor
+    /// emits only for runs. Every match is in range, so the stream is valid.
+    fn encode_tokens(seeds: &[(u16, u16)]) -> Vec<u8> {
+        let mut body = Vec::new();
+        let mut out_len = 0usize;
+        for group in seeds.chunks(8) {
+            let flag_at = body.len();
+            body.push(0u8);
+            for (t, &(a, b)) in group.iter().enumerate() {
+                if out_len == 0 || a % 4 == 0 {
+                    body.push(b as u8);
+                    out_len += 1;
+                    continue;
+                }
+                // Mostly short distances so dist < len is common.
+                let reach = if a % 4 == 1 { out_len } else { out_len.min(16) };
+                let dist = 1 + usize::from(b) % reach.min(WINDOW);
+                let len = MIN_MATCH + usize::from(a >> 4) % (MAX_MATCH - MIN_MATCH + 1);
+                let (d, l) = (dist - 1, len - MIN_MATCH);
+                body.push((d >> 4) as u8);
+                body.push((((d & 0xF) as u8) << 4) | (l >> 8) as u8);
+                body.push((l & 0xFF) as u8);
+                body[flag_at] |= 1 << t;
+                out_len += len;
+            }
+        }
+        let mut z = MAGIC.to_vec();
+        z.extend_from_slice(&(out_len as u32).to_le_bytes());
+        z.extend_from_slice(&body);
+        z
+    }
+
+    std::thread_local! {
+        static LARGEST_ALLOC: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Records the largest allocation each thread requests, so a test can
+    /// prove a hostile header was refused before its length was allocated.
+    struct Tracking;
+
+    // SAFETY: forwards every call unchanged to the system allocator.
+    unsafe impl std::alloc::GlobalAlloc for Tracking {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(layout.size())));
+            std::alloc::System.alloc(layout)
+        }
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(layout.size())));
+            std::alloc::System.alloc_zeroed(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout);
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: Tracking = Tracking;
 
     #[test]
     fn empty_and_tiny() {
@@ -301,6 +473,34 @@ mod tests {
             0x00,
         ];
         assert_eq!(grz_decompress(&bad), Err(GrzError::BadMatch));
+        // An all-literal group cut short takes the per-token path.
+        assert_eq!(
+            grz_decompress(b"GRZ1\x08\x00\x00\x00\x00abc"),
+            Err(GrzError::Truncated)
+        );
+        // A match running past the claimed length.
+        assert_eq!(
+            grz_decompress(b"GRZ1\x03\x00\x00\x00\x02a\x00\x00\x00"),
+            Err(GrzError::LengthMismatch)
+        );
+    }
+
+    #[test]
+    fn oversized_length_claim_is_rejected_without_allocating() {
+        let mut z = MAGIC.to_vec();
+        z.extend_from_slice(&u32::MAX.to_le_bytes());
+        z.extend_from_slice(b"\x00abc");
+        LARGEST_ALLOC.with(|m| m.set(0));
+        assert_eq!(grz_decompress(&z), Err(GrzError::Truncated));
+        assert_eq!(LARGEST_ALLOC.with(std::cell::Cell::get), 0);
+        assert_eq!(grz_len(&z), Err(GrzError::Truncated));
+        // The densest group (a flag and eight maximal matches) sits exactly
+        // on the bound, and a dense real stream passes it and decodes.
+        assert_eq!(max_expansion(25), 8 * 4098);
+        let mut seeds = vec![(0u16, 7u16)];
+        seeds.extend([(((MAX_MATCH - MIN_MATCH) << 4) as u16 | 2, 0); 8]);
+        let dense = encode_tokens(&seeds);
+        assert_eq!(grz_decompress(&dense).unwrap(), vec![7u8; 1 + 8 * 4098]);
     }
 
     proptest! {
@@ -318,6 +518,53 @@ mod tests {
                 data.extend(std::iter::repeat(b).take(n));
             }
             roundtrip(&data);
+        }
+
+        #[test]
+        fn prop_matches_oracle_on_zero_pages(
+            pages in (1usize..5, proptest::collection::vec((0usize..4 * 4096, any::<u8>()), 0..16))
+        ) {
+            let (n, pokes) = pages;
+            let mut data = vec![0u8; n * 4096];
+            for (at, b) in pokes {
+                data[at % (n * 4096)] = b;
+            }
+            roundtrip(&data);
+        }
+
+        #[test]
+        fn prop_matches_oracle_on_overlapping_matches(
+            seeds in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..64)
+        ) {
+            let z = encode_tokens(&seeds);
+            assert!(grz_decompress(&z).is_ok());
+            differential(&z);
+        }
+
+        #[test]
+        fn prop_matches_oracle_on_arbitrary_bytes(
+            parts in ((any::<u32>(), 0u32..4096), proptest::collection::vec(any::<u8>(), 0..512))
+        ) {
+            let ((claim, small), body) = parts;
+            // Mostly plausible lengths, sometimes any u32.
+            let out_len = if claim % 8 == 0 { claim } else { small };
+            let mut z = MAGIC.to_vec();
+            z.extend_from_slice(&out_len.to_le_bytes());
+            z.extend_from_slice(&body);
+            differential(&z);
+        }
+
+        #[test]
+        fn prop_matches_oracle_on_corrupted_streams(
+            parts in (proptest::collection::vec((any::<u16>(), any::<u16>()), 1..32), (any::<u32>(), 1u8..255))
+        ) {
+            let (seeds, (at, x)) = parts;
+            let mut z = encode_tokens(&seeds);
+            let cut = at as usize % (z.len() + 1);
+            differential(&z[..cut]);
+            let i = at as usize % z.len();
+            z[i] ^= x;
+            differential(&z);
         }
     }
 }

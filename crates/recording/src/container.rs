@@ -1,17 +1,30 @@
 //! The on-disk recording container.
 //!
-//! Layout: magic `GREC`, format version, FNV-1a checksum of the payload,
+//! Layout: magic `GREC`, format version, a 64-bit checksum of the payload,
 //! then the payload: metadata, actions, I/O slots, and the GRZ-compressed
 //! dump section. [`Recording::to_bytes`]/[`Recording::from_bytes`] are the
 //! only (de)serialization paths; the replayer's verifier re-checks the
 //! checksum and every structural invariant on load.
+//!
+//! **Checksum (version 2).** Word-wise FNV-1a: the payload is read as
+//! little-endian `u64` words dealt round-robin to four independent lanes,
+//! each updated as `h = (h ^ word) * FNV_PRIME`; the lanes, the zero-padded
+//! tail bytes and the payload length are then folded into one state the
+//! same way. Both steps are bijections of the state (xor with a fixed word,
+//! multiplication by an odd constant mod 2^64), so any change confined to
+//! one aligned 8-byte word — in particular any single-bit or single-byte
+//! flip — always changes the checksum. That is the guarantee byte-wise
+//! FNV-1a gave in version 1, at memory speed instead of one byte per
+//! multiply. It is an integrity check, not a MAC: an adversary who can
+//! rewrite the container can recompute it. Version-1 containers are
+//! rejected with [`ContainerError::BadVersion`].
 
 use crate::action::{Action, TimedAction};
-use crate::codec::{grz_compress, grz_decompress, GrzError};
+use crate::codec::{grz_compress, grz_decompress, grz_len, GrzError};
 use crate::meta::{Dump, IoSlot, RecordingMeta};
 
 const MAGIC: &[u8; 4] = b"GREC";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// A complete recording: everything needed to reproduce a fixed sequence
 /// of GPU jobs on new input.
@@ -70,13 +83,37 @@ impl From<GrzError> for ContainerError {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
+/// One FNV-1a step over a whole word (a bijection of `h` for fixed `w`).
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
+}
+
+fn word(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte word"))
+}
+
+/// The payload checksum (see the module doc for its detection guarantee).
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [0u64, 1, 2, 3].map(|i| FNV_OFFSET ^ i);
+    let mut chunks = bytes.chunks_exact(32);
+    for c in &mut chunks {
+        for (l, w) in lanes.iter_mut().zip(c.chunks_exact(8)) {
+            *l = mix(*l, word(w));
+        }
     }
-    h
+    let mut words = chunks.remainder().chunks_exact(8);
+    for (l, w) in lanes.iter_mut().zip(&mut words) {
+        *l = mix(*l, word(w));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    lanes
+        .into_iter()
+        .chain([u64::from_le_bytes(tail), bytes.len() as u64])
+        .fold(FNV_OFFSET, mix)
 }
 
 #[derive(Default)]
@@ -144,10 +181,6 @@ impl<'a> R<'a> {
         let n = self.u32()? as usize;
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| ContainerError::BadString)
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, ContainerError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
     }
 }
 
@@ -252,7 +285,7 @@ impl Recording {
         let mut out = Vec::with_capacity(p.buf.len() + 20);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a(&p.buf).to_le_bytes());
+        out.extend_from_slice(&checksum(&p.buf).to_le_bytes());
         out.extend_from_slice(&p.buf);
         out
     }
@@ -272,9 +305,9 @@ impl Recording {
         if version != VERSION {
             return Err(ContainerError::BadVersion(version));
         }
-        let checksum = u64::from_le_bytes(bytes[8..16].try_into().expect("len"));
+        let expected = u64::from_le_bytes(bytes[8..16].try_into().expect("len"));
         let payload = &bytes[16..];
-        if fnv1a(payload) != checksum {
+        if checksum(payload) != expected {
             return Err(ContainerError::ChecksumMismatch);
         }
         let mut r = R {
@@ -358,12 +391,18 @@ impl Recording {
         for _ in 0..n_dumps {
             headers.push((r.u64()?, r.u32()? as usize));
         }
-        let blob = r.bytes()?;
-        let payload = grz_decompress(&blob)?;
-        let total: usize = headers.iter().map(|(_, l)| *l).sum();
-        if total != payload.len() {
+        let blob_len = r.u32()? as usize;
+        let blob = r.take(blob_len)?;
+        // The dump headers must account for exactly the stream's claimed
+        // length, checked before the decoder allocates it.
+        let total = headers
+            .iter()
+            .try_fold(0usize, |t, (_, l)| t.checked_add(*l))
+            .ok_or(ContainerError::Truncated)?;
+        if total != grz_len(blob)? {
             return Err(ContainerError::Truncated);
         }
+        let payload = grz_decompress(blob)?;
         let mut dumps = Vec::with_capacity(headers.len());
         let mut off = 0usize;
         for (va, len) in headers {
@@ -489,6 +528,23 @@ mod tests {
         assert_eq!(
             Recording::from_bytes(&bytes),
             Err(ContainerError::ChecksumMismatch)
+        );
+    }
+
+    #[test]
+    fn dump_headers_must_match_the_stream_length() {
+        let rec = sample();
+        let mut bytes = rec.to_bytes();
+        let raw: Vec<u8> = rec.dumps.iter().flat_map(|d| d.bytes.clone()).collect();
+        // The last dump header's length sits just before the blob length.
+        let at = bytes.len() - grz_compress(&raw).len() - 8;
+        assert_eq!(bytes[at..at + 4], 8192u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = checksum(&bytes[16..]);
+        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            Recording::from_bytes(&bytes),
+            Err(ContainerError::Truncated)
         );
     }
 

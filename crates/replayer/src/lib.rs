@@ -623,7 +623,7 @@ fn worker_main(
 
         stats.jobs += 1;
         let recording = batch[0].recording;
-        let (tickets, retries, completed, faulted, prologue_skipped) =
+        let (replies, retries, completed, faulted, prologue_skipped) =
             run_formed_batch(&mut replayer, recording, batch, worker, &mut stats);
 
         // Replay-progress clock tick: deadlines expire from the worker
@@ -635,29 +635,42 @@ fn worker_main(
         }
 
         let mut st = inner.lock();
-        st.in_flight -= tickets;
+        st.in_flight -= replies.len();
         guard.charged.set(0);
-        st.metrics.record_batch(tickets);
+        st.metrics.record_batch(replies.len());
         st.metrics.retries += u64::from(retries);
         st.metrics.completed += completed;
         st.metrics.faults += faulted;
         st.metrics.prologue_skipped += prologue_skipped;
+        // Answer only once the batch is accounted, under the shard lock
+        // (as the expiry path does): a caller whose `wait()` returned
+        // always finds its ticket in the next `stats()` snapshot.
+        for (reply, outcome) in replies {
+            let _ = reply.send(outcome);
+        }
         if st.queue.is_empty() && st.in_flight == 0 {
             inner.idle_cv.notify_all();
         }
     }
 }
 
+/// A ticket's reply channel and the outcome to send on it.
+type Reply = (
+    Sender<Result<BatchOutcome, ServiceError>>,
+    Result<BatchOutcome, ServiceError>,
+);
+
 /// Runs one formed batch through the fault-isolating batch replay and
-/// demuxes outputs and errors back to the individual tickets. Returns
-/// `(tickets, retries, completed, faulted, prologue_skipped)`.
+/// demuxes outputs and errors to the individual tickets, returning one
+/// reply per ticket for the caller to send. Returns
+/// `(replies, retries, completed, faulted, prologue_skipped)`.
 fn run_formed_batch(
     replayer: &mut Replayer,
     recording: usize,
     mut batch: Vec<Pending>,
     worker: usize,
     stats: &mut WorkerStats,
-) -> (usize, u32, u64, u64, u64) {
+) -> (Vec<Reply>, u32, u64, u64, u64) {
     let tickets = batch.len();
     let mut spans = Vec::with_capacity(batch.len());
     let mut all_ios: Vec<ReplayIo> = Vec::new();
@@ -674,6 +687,7 @@ fn run_formed_batch(
             let mut errs = errors.into_iter().peekable();
             let mut drained = all_ios.into_iter();
             let mut base = 0usize;
+            let mut replies = Vec::with_capacity(tickets);
             for (p, n) in batch.into_iter().zip(spans) {
                 let ios: Vec<ReplayIo> = drained.by_ref().take(n).collect();
                 // First error attributed to this ticket's element span, if
@@ -690,18 +704,19 @@ fn run_formed_batch(
                 if let Some(e) = first_err {
                     faulted += 1;
                     stats.errors += 1;
-                    let _ = p.reply.send(Err(ServiceError::Replay(e)));
+                    replies.push((p.reply, Err(ServiceError::Replay(e))));
                 } else {
                     completed += 1;
-                    let _ = p.reply.send(Ok(BatchOutcome {
+                    let outcome = BatchOutcome {
                         ios,
                         report: report.clone(),
                         worker,
-                    }));
+                    };
+                    replies.push((p.reply, Ok(outcome)));
                 }
             }
             (
-                tickets,
+                replies,
                 report.retries,
                 completed,
                 faulted,
@@ -713,10 +728,11 @@ fn run_formed_batch(
             // error; the warm machine re-runs its recorded reset prologue
             // on the next batch, so the worker keeps serving.
             stats.errors += tickets as u64;
-            for p in batch {
-                let _ = p.reply.send(Err(ServiceError::Replay(e.clone())));
-            }
-            (tickets, 0, 0, tickets as u64, 0)
+            let replies = batch
+                .into_iter()
+                .map(|p| (p.reply, Err(ServiceError::Replay(e.clone()))))
+                .collect();
+            (replies, 0, 0, tickets as u64, 0)
         }
     }
 }
@@ -1282,6 +1298,29 @@ mod tests {
         assert_eq!(shard.deadline_missed, 1);
         assert_eq!(shard.completed, 1);
         assert!(shard.is_consistent(), "{shard:?}");
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_resolved_ticket_is_already_counted_in_stats() {
+        let (blob, net) = record_mnist(&gr_gpu::sku::MALI_G71, 61);
+        let service = ReplayService::builder()
+            .shard(ShardSpec::new(
+                &gr_gpu::sku::MALI_G71,
+                EnvKind::UserLevel,
+                vec![blob.clone()],
+            ))
+            .spawn()
+            .unwrap();
+        let input = random_input(net.input_len(), 17);
+        for n in 1..=50u64 {
+            service.run_ticket(&blob, &input).wait().unwrap();
+            // No quiesce: the answer alone must imply the accounting.
+            let snapshot = service.stats();
+            let shard = snapshot.shard("G71").unwrap();
+            assert_eq!((shard.completed, shard.in_flight), (n, 0), "{shard:?}");
+            assert!(shard.is_consistent(), "{shard:?}");
+        }
         service.shutdown();
     }
 
