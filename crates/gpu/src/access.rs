@@ -269,6 +269,11 @@ impl<M: crate::vm::exec::VaMem> crate::vm::exec::VaMem for LoggingVaMem<'_, M> {
         self.inner.read_f32s_into(va, n, out)
     }
 
+    fn read_runs(&mut self, va: u64, len: usize, f: &mut dyn FnMut(&[u8])) -> Result<(), u64> {
+        self.log.note_read(va, len as u64);
+        self.inner.read_runs(va, len, f)
+    }
+
     fn write_f32s(&mut self, va: u64, vals: &[f32]) -> Result<(), u64> {
         self.inner.write_f32s(va, vals)?;
         self.log.note_write(va, (vals.len() * 4) as u64);

@@ -363,6 +363,34 @@ where
         Ok(())
     }
 
+    fn read_runs(&mut self, va: u64, len: usize, f: &mut dyn FnMut(&[u8])) -> Result<(), u64> {
+        // Same plan and fault VAs as `read_f32s_into`, and every segment
+        // is bounds-checked before the first run goes out, so a fault
+        // never follows a partial stream.
+        self.plan(va, len, false)?;
+        let g = self.mem.read_guard();
+        if let Some(s) = self.segs.iter().find(|s| !g.contains(s.pa, s.len)) {
+            return Err(va + s.off as u64);
+        }
+        let mut rest = &self.segs[..];
+        while let Some(first) = rest.first() {
+            // Page segments that are adjacent in DRAM make one run.
+            let mut run_len = first.len;
+            let mut used = 1;
+            while rest
+                .get(used)
+                .is_some_and(|s| s.pa == first.pa + run_len as u64)
+            {
+                run_len += rest[used].len;
+                used += 1;
+            }
+            f(g.slice(first.pa, run_len)
+                .map_err(|_| va + first.off as u64)?);
+            rest = &rest[used..];
+        }
+        Ok(())
+    }
+
     fn write_f32s(&mut self, va: u64, vals: &[f32]) -> Result<(), u64> {
         if self.legacy {
             let mut bytes = Vec::with_capacity(vals.len() * 4);
@@ -523,5 +551,81 @@ mod tests {
         let mut back = Vec::new();
         vm.read_f32s_into(va, vals.len(), &mut back).unwrap();
         assert_eq!(back, vals);
+    }
+
+    /// VA page `i` → frame `FRAGMENTED[i]`; later pages are unmapped.
+    /// Frames 3→4 and 5→6 are adjacent, so they make one run each.
+    const FRAGMENTED: [u64; 6] = [9, 3, 4, 12, 5, 6];
+
+    fn fragmented(page_va: u64) -> Option<(u64, bool)> {
+        FRAGMENTED
+            .get((page_va / PAGE_SIZE as u64) as usize)
+            .map(|&frame| (frame * PAGE_SIZE as u64, true))
+    }
+
+    /// Collects `read_runs` output as (run lengths, concatenated bytes).
+    fn runs_of<M: VaMem>(vm: &mut M, va: u64, len: usize) -> Result<(Vec<usize>, Vec<u8>), u64> {
+        let (mut lens, mut bytes) = (Vec::new(), Vec::new());
+        vm.read_runs(va, len, &mut |run| {
+            lens.push(run.len());
+            bytes.extend_from_slice(run);
+        })?;
+        Ok((lens, bytes))
+    }
+
+    #[test]
+    fn read_runs_over_fragmented_frames_match_read_f32s_into() {
+        let mem = SharedMem::new(PhysMem::new(0, 16 * PAGE_SIZE));
+        let mut vm = TranslatingVaMem::new(&mem, fragmented);
+        let pattern: Vec<u8> = (0..6 * PAGE_SIZE)
+            .map(|i| (i * 7 + i / 251) as u8)
+            .collect();
+        vm.write_bytes(0, &pattern).unwrap();
+        // Starts mid-page 0, ends mid-page 5.
+        let (va, n) = (PAGE_SIZE as u64 - 100, (4 * PAGE_SIZE + 300) / 4);
+        let (lens, bytes) = runs_of(&mut vm, va, n * 4).unwrap();
+        let pg = PAGE_SIZE;
+        assert_eq!(lens, vec![100, 2 * pg, pg, pg + 200]);
+        let mut vals = Vec::new();
+        vm.read_f32s_into(va, n, &mut vals).unwrap();
+        assert_eq!(
+            bytes,
+            vals.iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(bytes, vm.read_bytes(va, n * 4).unwrap());
+    }
+
+    #[test]
+    fn read_runs_fault_at_the_read_f32s_into_va_before_any_run() {
+        let mem = SharedMem::new(PhysMem::new(0, 8 * PAGE_SIZE));
+        // Page 2 unmapped mid-range.
+        let mut vm = TranslatingVaMem::new(&mem, |page_va| {
+            (page_va != 2 * PAGE_SIZE as u64).then_some((page_va, true))
+        });
+        let (va, n) = (PAGE_SIZE as u64 + 8, PAGE_SIZE / 2);
+        let mut calls = 0;
+        let err = vm.read_runs(va, n * 4, &mut |_| calls += 1).unwrap_err();
+        assert_eq!(err, 2 * PAGE_SIZE as u64);
+        assert_eq!(Err(err), vm.read_f32s_into(va, n, &mut Vec::new()));
+        assert_eq!(calls, 0, "no run before the fault");
+        // Page 2 mapped to a frame outside DRAM and not adjacent to page
+        // 1's: it faults the same way, still before page 1's run goes out.
+        let mut vm = TranslatingVaMem::new(&mem, |page_va| {
+            let outside = page_va == 2 * PAGE_SIZE as u64;
+            Some((
+                if outside {
+                    100 * PAGE_SIZE as u64
+                } else {
+                    page_va
+                },
+                true,
+            ))
+        });
+        let err = vm.read_runs(va, n * 4, &mut |_| calls += 1).unwrap_err();
+        assert_eq!(err, 2 * PAGE_SIZE as u64);
+        assert_eq!(Err(err), vm.read_f32s_into(va, n, &mut Vec::new()));
+        assert_eq!(calls, 0);
     }
 }

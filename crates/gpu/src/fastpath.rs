@@ -1,8 +1,9 @@
 //! Global switch for the zero-copy replay fast path.
 //!
-//! The fast path (software TLB, per-submit decoded-job caching) is on by
-//! default; benchmarks and differential tests turn it off to reproduce the
-//! translate-every-access / decode-every-run baseline. The switch only
+//! The fast path (software TLB, per-submit decoded-job caching, streamed
+//! GEMM weights, restructured convolution loop orders) is on by default;
+//! benchmarks and differential tests turn it off to reproduce the
+//! translate-every-access / decode-every-run / reference-kernel baseline. The switch only
 //! affects *host wall-clock* work — virtual-time results and replayed
 //! outputs are bit-identical either way (gated by `val72_correctness` and
 //! the TLB differential tests).

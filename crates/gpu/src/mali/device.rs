@@ -1134,6 +1134,94 @@ mod tests {
         assert_eq!(fault_va & !(PAGE_SIZE as u64 - 1), DATA_VA);
     }
 
+    const W_VA: u64 = 0x0030_0000;
+    /// The FC weights: 16×160 f32s (10 KiB) from mid-page, over three pages.
+    const FC_W: u64 = W_VA + 0x800;
+    const FC_W_LEN: u64 = 16 * 160 * 4;
+
+    /// Maps and fills a ReLU `FullyConnected` job (x and bias in DATA_VA's
+    /// page, output at DATA_VA + 0x400); returns the reference output.
+    fn fc_setup(rig: &mut Rig) -> Vec<f32> {
+        bring_up(rig);
+        map_pages(rig, CHAIN_VA, 1, PteFlags::exec_cpu());
+        map_pages(rig, DATA_VA, 1, PteFlags::rw_cpu());
+        map_pages(rig, W_VA, 3, PteFlags::rw_cpu());
+        let x: Vec<f32> = (0..16).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let w: Vec<f32> = (0..16 * 160).map(|i| (i as f32 * 0.37).sin()).collect();
+        let b: Vec<f32> = (0..160).map(|i| i as f32 * 0.01 - 0.5).collect();
+        let bytes = |v: &[f32]| v.iter().flat_map(|f| f.to_le_bytes()).collect::<Vec<u8>>();
+        poke(rig, DATA_VA, &bytes(&x));
+        poke(rig, DATA_VA + 0x100, &bytes(&b));
+        poke(rig, FC_W, &bytes(&w));
+        emit_job(
+            rig,
+            CHAIN_VA,
+            &KernelOp::FullyConnected {
+                x: DATA_VA,
+                w: FC_W,
+                bias: DATA_VA + 0x100,
+                out: DATA_VA + 0x400,
+                m: 1,
+                k: 16,
+                n: 160,
+                act: ActKind::Relu,
+            },
+            JobCost {
+                flops: 2 * 16 * 160,
+                bytes: FC_W_LEN,
+            },
+        );
+        crate::vm::kernels::fully_connected(&x, &w, Some(&b), 1, 16, 160, ActKind::Relu)
+    }
+
+    #[test]
+    fn fc_job_streams_weights_and_logs_the_whole_range_as_read() {
+        let mut rg = rig(&MALI_G71);
+        let expected = fc_setup(&mut rg);
+        // The handle `Machine::gpu_access` hands the replayer.
+        let log = rg.gpu.access_log();
+        log.arm();
+        let raw = submit_and_wait(&mut rg);
+        assert_eq!(raw & r::JOB_IRQ_DONE0, r::JOB_IRQ_DONE0);
+        let got = peek_f32s(&rg, DATA_VA + 0x400, 160);
+        assert_eq!(
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        let snap = log.snapshot().expect("armed, no overflow");
+        assert!(snap.first_reads.covers(FC_W, FC_W + FC_W_LEN));
+        assert!(snap.written.covers(DATA_VA + 0x400, DATA_VA + 0x400 + 640));
+    }
+
+    #[test]
+    fn corrupt_weight_pte_still_observed_after_tlb_warmup() {
+        let mut rg = rig(&MALI_G71);
+        fc_setup(&mut rg);
+        let raw = submit_and_wait(&mut rg);
+        assert_eq!(raw & r::JOB_IRQ_DONE0, r::JOB_IRQ_DONE0);
+        rg.gpu.write32(r::JOB_IRQ_CLEAR, 0xFFFF_FFFF);
+        poke(&rg, DATA_VA + 0x400, &[0; 640]);
+        // Corrupt the middle weight page mid-flight: the stream must fault
+        // there, with a warm TLB, and leave the output unwritten.
+        rg.gpu.write32(r::JS0_HEAD_LO, CHAIN_VA as u32);
+        rg.gpu.write32(r::JS0_AFFINITY, 0xFF);
+        rg.gpu.write32(r::JS0_COMMAND, r::JS_CMD_START);
+        rg.gpu.inject_fault(FaultKind::CorruptPte {
+            va: W_VA + PAGE_SIZE as u64,
+        });
+        let t = rg.gpu.next_event_time().unwrap();
+        rg.clock.advance_to(t);
+        rg.gpu.tick();
+        assert_eq!(
+            rg.gpu.read32(r::JOB_IRQ_RAWSTAT) & r::JOB_IRQ_FAIL0,
+            r::JOB_IRQ_FAIL0
+        );
+        assert_eq!(rg.gpu.read32(r::AS0_FAULTSTATUS), r::AS_FAULT_TRANSLATION);
+        let fault_va = u64::from(rg.gpu.read32(r::AS0_FAULTADDR_LO));
+        assert_eq!(fault_va, W_VA + PAGE_SIZE as u64);
+        assert_eq!(peek_f32s(&rg, DATA_VA + 0x400, 160), vec![0.0; 160]);
+    }
+
     #[test]
     fn hard_stop_preempts_without_completion() {
         let mut rg = rig(&MALI_G71);

@@ -11,11 +11,17 @@
 //! instead of allocating fresh `Vec`s per access. Buffer reuse never
 //! changes values or f32 accumulation order: the kernels in
 //! [`super::kernels`] see exactly the slices they saw before (gated by
-//! `val72_correctness`).
+//! `val72_correctness`). The weight operand of `MatMul` and
+//! `FullyConnected` is not staged at all on the fast path: it streams
+//! from DRAM through [`VaMem::read_runs`] into [`k::Gemm`].
+//!
+//! Every element count derived from recorded dimensions is computed in
+//! `usize` with checked arithmetic: a product that overflows is
+//! [`ExecError::BadParams`], never a wrapped count and a kernel panic.
 
 use std::fmt;
 
-use super::bytecode::{DecodeError, KernelOp};
+use super::bytecode::{ActKind, DecodeError, KernelOp};
 use super::kernels as k;
 
 /// GPU-virtual-address memory access used by kernel execution.
@@ -51,6 +57,28 @@ pub trait VaMem {
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4"))),
         );
+        Ok(())
+    }
+
+    /// Hands the `len` bytes at `va` to `f` as physically contiguous runs,
+    /// in VA order.
+    ///
+    /// The whole range is translated before `f` sees any byte, with the
+    /// same fault VA as [`VaMem::read_f32s_into`]: on `Err`, `f` has not
+    /// been called. Runs split only at page boundaries, so when `va` is
+    /// 4-byte aligned every run holds whole f32s. `f` must not access
+    /// memory: implementations may hold the DRAM lock while calling it.
+    ///
+    /// The default stages the range through [`VaMem::read_bytes`] and
+    /// hands it over as one run; [`crate::device::TranslatingVaMem`]
+    /// lends the runs straight out of DRAM.
+    ///
+    /// # Errors
+    ///
+    /// Returns the faulting VA when translation or a physical access fails.
+    fn read_runs(&mut self, va: u64, len: usize, f: &mut dyn FnMut(&[u8])) -> Result<(), u64> {
+        let bytes = self.read_bytes(va, len)?;
+        f(&bytes);
         Ok(())
     }
 
@@ -136,6 +164,52 @@ fn store<M: VaMem + ?Sized>(mem: &mut M, va: u64, vals: &[f32]) -> Result<(), Ex
         .map_err(|va| ExecError::MemFault { va })
 }
 
+/// Element count `dims[0] · dims[1] · …` in `usize`. Recorded dimensions
+/// are untrusted: a product whose byte size does not fit in `usize` is
+/// [`ExecError::BadParams`], not a wrapped count.
+fn elems(dims: &[u32]) -> Result<usize, ExecError> {
+    dims.iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d as usize))
+        .filter(|n| n.checked_mul(4).is_some())
+        .ok_or_else(|| ExecError::BadParams(format!("element count {dims:?} overflows")))
+}
+
+/// `act(x[m×k] · W[k×n] + bias)` for `MatMul` and `FullyConnected`. On
+/// the fast path the weights stream from DRAM runs into [`k::Gemm`]; with
+/// the fast path off, or a weight VA that is not 4-byte aligned (its runs
+/// would split f32s), they are staged and run through the reference
+/// kernel. Loads happen in op order (x, weights, bias) either way.
+#[allow(clippy::too_many_arguments)]
+fn gemm<M: VaMem + ?Sized>(
+    mem: &mut M,
+    scratch: &mut ExecScratch,
+    x: u64,
+    w: u64,
+    bias: u64,
+    m: u32,
+    kk: u32,
+    n: u32,
+    act: ActKind,
+) -> Result<Vec<f32>, ExecError> {
+    let (mk, kn) = (elems(&[m, kk])?, elems(&[kk, n])?);
+    elems(&[m, n])?;
+    load(mem, x, mk, &mut scratch.a)?;
+    let (m, kk, n) = (m as usize, kk as usize, n as usize);
+    if crate::fastpath::enabled() && w % 4 == 0 {
+        let mut acc = k::Gemm::new(&scratch.a, m, kk, n);
+        mem.read_runs(w, kn * 4, &mut |run| acc.feed(run))
+            .map_err(|va| ExecError::MemFault { va })?;
+        let bv = load_opt_bias(mem, bias, n, &mut scratch.c)?;
+        Ok(acc.finish(bv, act))
+    } else {
+        load(mem, w, kn, &mut scratch.b)?;
+        let bv = load_opt_bias(mem, bias, n, &mut scratch.c)?;
+        Ok(k::fully_connected(
+            &scratch.a, &scratch.b, bv, m, kk, n, act,
+        ))
+    }
+}
+
 /// Loads an optional bias vector (`va == 0` means "no bias") into `buf`.
 fn load_opt_bias<'s, M: VaMem + ?Sized>(
     mem: &mut M,
@@ -180,7 +254,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
     match *op {
         Fill { out, n, value } => {
             scratch.a.clear();
-            scratch.a.resize(n as usize, value);
+            scratch.a.resize(elems(&[n])?, value);
             store(mem, out, &scratch.a)
         }
         CopyBytes { src, dst, len } => {
@@ -191,13 +265,14 @@ pub fn execute_with<M: VaMem + ?Sized>(
                 .map_err(|va| ExecError::MemFault { va })
         }
         EltwiseAdd { a, b, out, n, act } => {
-            load(mem, a, n as usize, &mut scratch.a)?;
-            load(mem, b, n as usize, &mut scratch.b)?;
+            let n = elems(&[n])?;
+            load(mem, a, n, &mut scratch.a)?;
+            load(mem, b, n, &mut scratch.b)?;
             k::eltwise_add_act(act, &scratch.a, &scratch.b, &mut scratch.c);
             store(mem, out, &scratch.c)
         }
         Scale { a, out, n, alpha } => {
-            load(mem, a, n as usize, &mut scratch.a)?;
+            load(mem, a, elems(&[n])?, &mut scratch.a)?;
             scratch.c.clear();
             scratch.c.extend(scratch.a.iter().map(|&x| x * alpha));
             store(mem, out, &scratch.c)
@@ -210,9 +285,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
             k: kk,
             n,
         } => {
-            load(mem, a, (m * kk) as usize, &mut scratch.a)?;
-            load(mem, b, (kk * n) as usize, &mut scratch.b)?;
-            let o = k::matmul(&scratch.a, &scratch.b, m as usize, kk as usize, n as usize);
+            let o = gemm(mem, scratch, a, b, 0, m, kk, n, ActKind::None)?;
             store(mem, out, &o)
         }
         FullyConnected {
@@ -225,18 +298,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
             n,
             act,
         } => {
-            load(mem, x, (m * kk) as usize, &mut scratch.a)?;
-            load(mem, w, (kk * n) as usize, &mut scratch.b)?;
-            let bv = load_opt_bias(mem, bias, n as usize, &mut scratch.c)?;
-            let o = k::fully_connected(
-                &scratch.a,
-                &scratch.b,
-                bv,
-                m as usize,
-                kk as usize,
-                n as usize,
-                act,
-            );
+            let o = gemm(mem, scratch, x, w, bias, m, kk, n, act)?;
             store(mem, out, &o)
         }
         Conv2d {
@@ -260,11 +322,14 @@ pub fn execute_with<M: VaMem + ?Sized>(
                     "conv2d groups={groups} cin={cin} cout={cout} stride={stride}"
                 )));
             }
-            load(mem, x, (cin * h * wd) as usize, &mut scratch.a)?;
+            let ho = k::out_dim(h, kh, stride, pad);
+            let wo = k::out_dim(wd, kw, stride, pad);
+            elems(&[cout, ho, wo])?;
+            load(mem, x, elems(&[cin, h, wd])?, &mut scratch.a)?;
             load(
                 mem,
                 w,
-                (cout * (cin / groups) * kh * kw) as usize,
+                elems(&[cout, cin / groups, kh, kw])?,
                 &mut scratch.b,
             )?;
             let bv = load_opt_bias(mem, bias, cout as usize, &mut scratch.c)?;
@@ -300,7 +365,12 @@ pub fn execute_with<M: VaMem + ?Sized>(
                     "pool win={win} stride={stride} h={h} w={wd}"
                 )));
             }
-            load(mem, x, (c * h * wd) as usize, &mut scratch.a)?;
+            elems(&[
+                c,
+                k::out_dim(h, win, stride, 0),
+                k::out_dim(wd, win, stride, 0),
+            ])?;
+            load(mem, x, elems(&[c, h, wd])?, &mut scratch.a)?;
             let o = k::pool2d(
                 &scratch.a,
                 c as usize,
@@ -313,23 +383,24 @@ pub fn execute_with<M: VaMem + ?Sized>(
             store(mem, out, &o)
         }
         Activation { x, out, n, act } => {
-            load(mem, x, n as usize, &mut scratch.a)?;
+            load(mem, x, elems(&[n])?, &mut scratch.a)?;
             k::map_act(act, &scratch.a, &mut scratch.c);
             store(mem, out, &scratch.c)
         }
         Softmax { x, out, rows, cols } => {
-            load(mem, x, (rows * cols) as usize, &mut scratch.a)?;
+            load(mem, x, elems(&[rows, cols])?, &mut scratch.a)?;
             let o = k::softmax(&scratch.a, rows as usize, cols as usize);
             store(mem, out, &o)
         }
         Concat2 { a, na, b, nb, out } => {
-            load(mem, a, na as usize, &mut scratch.a)?;
-            load(mem, b, nb as usize, &mut scratch.b)?;
+            load(mem, a, elems(&[na])?, &mut scratch.a)?;
+            load(mem, b, elems(&[nb])?, &mut scratch.b)?;
             scratch.a.extend_from_slice(&scratch.b);
             store(mem, out, &scratch.a)
         }
         Upsample2x { x, out, c, h, wd } => {
-            load(mem, x, (c * h * wd) as usize, &mut scratch.a)?;
+            elems(&[c, h, 2, wd, 2])?;
+            load(mem, x, elems(&[c, h, wd])?, &mut scratch.a)?;
             let o = k::upsample2x(&scratch.a, c as usize, h as usize, wd as usize);
             store(mem, out, &o)
         }
@@ -341,7 +412,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
             c,
             hw,
         } => {
-            load(mem, x, (c * hw) as usize, &mut scratch.a)?;
+            load(mem, x, elems(&[c, hw])?, &mut scratch.a)?;
             load(mem, scale, c as usize, &mut scratch.b)?;
             load(mem, shift, c as usize, &mut scratch.c)?;
             let o = k::batchnorm_inf(&scratch.a, &scratch.b, &scratch.c, c as usize, hw as usize);
@@ -361,7 +432,14 @@ pub fn execute_with<M: VaMem + ?Sized>(
             if stride == 0 {
                 return Err(ExecError::BadParams("im2col stride=0".into()));
             }
-            load(mem, x, (cin * h * wd) as usize, &mut scratch.a)?;
+            elems(&[
+                k::out_dim(h, kh, stride, pad),
+                k::out_dim(wd, kw, stride, pad),
+                cin,
+                kh,
+                kw,
+            ])?;
+            load(mem, x, elems(&[cin, h, wd])?, &mut scratch.a)?;
             let o = k::im2col(
                 &scratch.a,
                 cin as usize,
@@ -381,7 +459,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
             rows,
             cols,
         } => {
-            load(mem, probs, (rows * cols) as usize, &mut scratch.a)?;
+            load(mem, probs, elems(&[rows, cols])?, &mut scratch.a)?;
             load(mem, labels, rows as usize, &mut scratch.b)?;
             for &l in &scratch.b {
                 // Non-finite labels must be rejected explicitly: NaN
@@ -402,8 +480,9 @@ pub fn execute_with<M: VaMem + ?Sized>(
             k: kk,
             n,
         } => {
-            load(mem, x, (m * kk) as usize, &mut scratch.a)?;
-            load(mem, dy, (m * n) as usize, &mut scratch.b)?;
+            elems(&[kk, n])?;
+            load(mem, x, elems(&[m, kk])?, &mut scratch.a)?;
+            load(mem, dy, elems(&[m, n])?, &mut scratch.b)?;
             let o = k::matmul_grad_w(&scratch.a, &scratch.b, m as usize, kk as usize, n as usize);
             store(mem, dw, &o)
         }
@@ -415,25 +494,28 @@ pub fn execute_with<M: VaMem + ?Sized>(
             k: kk,
             n,
         } => {
-            load(mem, dy, (m * n) as usize, &mut scratch.a)?;
-            load(mem, w, (kk * n) as usize, &mut scratch.b)?;
+            elems(&[m, kk])?;
+            load(mem, dy, elems(&[m, n])?, &mut scratch.a)?;
+            load(mem, w, elems(&[kk, n])?, &mut scratch.b)?;
             let o = k::matmul_grad_x(&scratch.a, &scratch.b, m as usize, kk as usize, n as usize);
             store(mem, dx, &o)
         }
         ReluGrad { x, dy, dx, n } => {
-            load(mem, x, n as usize, &mut scratch.a)?;
-            load(mem, dy, n as usize, &mut scratch.b)?;
+            let n = elems(&[n])?;
+            load(mem, x, n, &mut scratch.a)?;
+            load(mem, dy, n, &mut scratch.b)?;
             let o = k::relu_grad(&scratch.a, &scratch.b);
             store(mem, dx, &o)
         }
         BiasGradReduce { dy, db, m, n } => {
-            load(mem, dy, (m * n) as usize, &mut scratch.a)?;
+            load(mem, dy, elems(&[m, n])?, &mut scratch.a)?;
             let o = k::bias_grad(&scratch.a, m as usize, n as usize);
             store(mem, db, &o)
         }
         SgdStep { w, g, n, lr } => {
-            load(mem, w, n as usize, &mut scratch.a)?;
-            load(mem, g, n as usize, &mut scratch.b)?;
+            let n = elems(&[n])?;
+            load(mem, w, n, &mut scratch.a)?;
+            load(mem, g, n, &mut scratch.b)?;
             k::sgd_step(&mut scratch.a, &scratch.b, lr);
             store(mem, w, &scratch.a)
         }
@@ -453,10 +535,11 @@ pub fn execute_with<M: VaMem + ?Sized>(
             if stride == 0 {
                 return Err(ExecError::BadParams("conv_gw stride=0".into()));
             }
-            let ho = k::out_dim(h, kh, stride, pad) as usize;
-            let wo = k::out_dim(wd, kw, stride, pad) as usize;
-            load(mem, x, (cin * h * wd) as usize, &mut scratch.a)?;
-            load(mem, dy, cout as usize * ho * wo, &mut scratch.b)?;
+            let ho = k::out_dim(h, kh, stride, pad);
+            let wo = k::out_dim(wd, kw, stride, pad);
+            elems(&[cout, cin, kh, kw])?;
+            load(mem, x, elems(&[cin, h, wd])?, &mut scratch.a)?;
+            load(mem, dy, elems(&[cout, ho, wo])?, &mut scratch.b)?;
             let o = k::conv2d_grad_w(
                 &scratch.a,
                 &scratch.b,
@@ -487,10 +570,11 @@ pub fn execute_with<M: VaMem + ?Sized>(
             if stride == 0 {
                 return Err(ExecError::BadParams("conv_gx stride=0".into()));
             }
-            let ho = k::out_dim(h, kh, stride, pad) as usize;
-            let wo = k::out_dim(wd, kw, stride, pad) as usize;
-            load(mem, dy, cout as usize * ho * wo, &mut scratch.a)?;
-            load(mem, w, (cout * cin * kh * kw) as usize, &mut scratch.b)?;
+            let ho = k::out_dim(h, kh, stride, pad);
+            let wo = k::out_dim(wd, kw, stride, pad);
+            elems(&[cin, h, wd])?;
+            load(mem, dy, elems(&[cout, ho, wo])?, &mut scratch.a)?;
+            load(mem, w, elems(&[cout, cin, kh, kw])?, &mut scratch.b)?;
             let o = k::conv2d_grad_x(
                 &scratch.a,
                 &scratch.b,
@@ -519,10 +603,10 @@ pub fn execute_with<M: VaMem + ?Sized>(
             if stride == 0 || win == 0 {
                 return Err(ExecError::BadParams("pool_g win/stride".into()));
             }
-            let ho = k::out_dim(h, win, stride, 0) as usize;
-            let wo = k::out_dim(wd, win, stride, 0) as usize;
-            load(mem, x, (c * h * wd) as usize, &mut scratch.a)?;
-            load(mem, dy, c as usize * ho * wo, &mut scratch.b)?;
+            let ho = k::out_dim(h, win, stride, 0);
+            let wo = k::out_dim(wd, win, stride, 0);
+            load(mem, x, elems(&[c, h, wd])?, &mut scratch.a)?;
+            load(mem, dy, elems(&[c, ho, wo])?, &mut scratch.b)?;
             let o = k::pool_grad(
                 &scratch.a,
                 &scratch.b,
@@ -551,7 +635,8 @@ pub fn execute_blob<M: VaMem + ?Sized>(blob: &[u8], mem: &mut M) -> Result<(), E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::bytecode::ActKind;
+    use crate::vm::kernels::testdata::{bits, same_bits, Draw};
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     /// Flat test memory with a configurable "hole" that faults.
@@ -823,5 +908,228 @@ mod tests {
         )
         .unwrap();
         assert_eq!(get_f32s(&mut mem, 0x100, 2), vec![0.5, 1.5]);
+    }
+
+    /// [`TestMem`] whose [`VaMem::read_runs`] cuts the range at random
+    /// f32 boundaries (mid-row and mid-page alike), as a fragmented
+    /// physical mapping would.
+    struct RunsMem {
+        mem: TestMem,
+        draw: Draw,
+        runs: usize,
+    }
+
+    impl VaMem for RunsMem {
+        fn read_bytes(&mut self, va: u64, len: usize) -> Result<Vec<u8>, u64> {
+            self.mem.read_bytes(va, len)
+        }
+        fn write_bytes(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
+            self.mem.write_bytes(va, data)
+        }
+        fn read_runs(&mut self, va: u64, len: usize, f: &mut dyn FnMut(&[u8])) -> Result<(), u64> {
+            let bytes = self.mem.read_bytes(va, len)?;
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let take = 4 * self.draw.range(1, rest.len() / 4 + 1);
+                f(&rest[..take]);
+                self.runs += 1;
+                rest = &rest[take..];
+            }
+            Ok(())
+        }
+    }
+
+    /// A random `FullyConnected` (or, without bias and activation,
+    /// `MatMul`) through `execute` with the weights in random runs,
+    /// against the reference kernel on the same data.
+    fn streamed_gemm_case(seed: u64, special: bool) {
+        let mut d = Draw(seed);
+        let (m, kk, n) = (d.range(1, 4), d.range(1, 24), d.range(1, 160));
+        let x = d.vals(m * kk, special);
+        let w = d.vals(kk * n, special);
+        let b = d.vals(n, special);
+        let with_bias = d.range(0, 2) == 1;
+        let act = d.act();
+        let (xva, bva, out) = (0x10_0000, 0x20_0000, 0x30_0000);
+        // Weights start mid-page, 4-byte aligned.
+        let wva = 0x40_0000 + 4 * d.range(0, 1024) as u64;
+        let mut mem = RunsMem {
+            mem: TestMem::default(),
+            draw: Draw(d.next()),
+            runs: 0,
+        };
+        put_f32s(&mut mem.mem, xva, &x);
+        put_f32s(&mut mem.mem, wva, &w);
+        put_f32s(&mut mem.mem, bva, &b);
+        let (m32, k32, n32) = (m as u32, kk as u32, n as u32);
+        let op = if with_bias || act != ActKind::None {
+            KernelOp::FullyConnected {
+                x: xva,
+                w: wva,
+                bias: if with_bias { bva } else { 0 },
+                out,
+                m: m32,
+                k: k32,
+                n: n32,
+                act,
+            }
+        } else {
+            KernelOp::MatMul {
+                a: xva,
+                b: wva,
+                out,
+                m: m32,
+                k: k32,
+                n: n32,
+            }
+        };
+        execute(&op, &mut mem).unwrap();
+        assert!(mem.runs >= 1, "the weights were streamed");
+        let got = get_f32s(&mut mem.mem, out, m * n);
+        let oracle = k::fully_connected(&x, &w, with_bias.then_some(&b[..]), m, kk, n, act);
+        if special {
+            assert!(same_bits(&got, &oracle), "seed {seed:#x}");
+        } else {
+            assert_eq!(bits(&got), bits(&oracle), "seed {seed:#x}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_gemm_matches_reference_bit_exactly(seed in any::<u64>()) {
+            streamed_gemm_case(seed, false);
+        }
+
+        #[test]
+        fn streamed_gemm_matches_reference_on_nan_inf_and_negative_zero(seed in any::<u64>()) {
+            streamed_gemm_case(seed, true);
+        }
+    }
+
+    #[test]
+    fn unaligned_weights_take_the_staged_path() {
+        let mut mem = RunsMem {
+            mem: TestMem::default(),
+            draw: Draw(1),
+            runs: 0,
+        };
+        let w = [1.5f32, -2.0, 0.25, 4.0, 3.0, -1.0];
+        put_f32s(&mut mem.mem, 0x100, &[2.0, -3.0]);
+        put_f32s(&mut mem.mem, 0x1001, &w);
+        let op = KernelOp::FullyConnected {
+            x: 0x100,
+            w: 0x1001,
+            bias: 0,
+            out: 0x2000,
+            m: 1,
+            k: 2,
+            n: 3,
+            act: ActKind::None,
+        };
+        execute(&op, &mut mem).unwrap();
+        assert_eq!(mem.runs, 0, "runs would split f32s");
+        assert_eq!(
+            get_f32s(&mut mem.mem, 0x2000, 3),
+            k::fully_connected(&[2.0, -3.0], &w, None, 1, 2, 3, ActKind::None)
+        );
+    }
+
+    #[test]
+    fn fully_connected_with_no_outputs_and_a_bias_is_a_no_op() {
+        // n = 0 once made the bias pass ask for chunks of size 0 (a panic).
+        for w in [0x1000, 0x1001] {
+            let op = KernelOp::FullyConnected {
+                x: 0x100,
+                w,
+                bias: 0x200,
+                out: 0x300,
+                m: 2,
+                k: 3,
+                n: 0,
+                act: ActKind::Relu,
+            };
+            assert_eq!(execute(&op, &mut TestMem::default()), Ok(()));
+        }
+    }
+
+    /// Memory that faults at 1 GiB, so a 16 GiB operand errors out
+    /// before any byte is staged.
+    fn hostile_mem() -> TestMem {
+        TestMem {
+            fault_at: Some(0x4000_0000),
+            ..TestMem::default()
+        }
+    }
+
+    const BIG: u32 = 1 << 16; // BIG · BIG = 2^32 wraps to 0 in u32
+
+    #[test]
+    fn fully_connected_with_m_times_k_of_2_pow_32_is_an_error_not_a_panic() {
+        let fc = |m, k| KernelOp::FullyConnected {
+            x: 0x1000_0000,
+            w: 0x1000,
+            bias: 0,
+            out: 0x2000,
+            m,
+            k,
+            n: 1,
+            act: ActKind::None,
+        };
+        assert_eq!(
+            execute(&fc(BIG, BIG), &mut hostile_mem()),
+            Err(ExecError::MemFault { va: 0x4000_0000 })
+        );
+        assert!(matches!(
+            execute(&fc(u32::MAX, u32::MAX), &mut hostile_mem()),
+            Err(ExecError::BadParams(_))
+        ));
+    }
+
+    #[test]
+    fn matmul_with_k_times_n_of_2_pow_32_is_an_error_not_a_panic() {
+        let mm = |m, k, n| KernelOp::MatMul {
+            a: 0x1000,
+            b: 0x1000_0000,
+            out: 0x2000,
+            m,
+            k,
+            n,
+        };
+        assert_eq!(
+            execute(&mm(1, BIG, BIG), &mut hostile_mem()),
+            Err(ExecError::MemFault { va: 0x4000_0000 })
+        );
+        assert!(matches!(
+            execute(&mm(u32::MAX, 2, u32::MAX), &mut hostile_mem()),
+            Err(ExecError::BadParams(_))
+        ));
+    }
+
+    #[test]
+    fn conv2d_with_cin_h_w_of_2_pow_32_is_an_error_not_a_panic() {
+        let conv = |c, h, wd| KernelOp::Conv2d {
+            x: 0x1000_0000,
+            w: 0x1000,
+            bias: 0,
+            out: 0x2000,
+            cin: c,
+            h,
+            wd,
+            cout: c,
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pad: 0,
+            groups: c,
+            act: ActKind::None,
+        };
+        assert_eq!(
+            execute(&conv(1, BIG, BIG), &mut hostile_mem()),
+            Err(ExecError::MemFault { va: 0x4000_0000 })
+        );
+        assert!(matches!(
+            execute(&conv(u32::MAX, u32::MAX, u32::MAX), &mut hostile_mem()),
+            Err(ExecError::BadParams(_))
+        ));
     }
 }

@@ -1,9 +1,16 @@
 //! The f32 math behind each [`super::bytecode::KernelOp`].
 //!
-//! These are straightforward reference implementations: the simulated GPU
-//! is not trying to be fast, it is trying to be *bit-stable* so the §7.2
+//! Kernel execution is most of a warm replay's host time, so the two hot
+//! inference ops have loop nests built for memory speed: [`Gemm`] streams
+//! the `k×n` operand of `MatMul`/`FullyConnected` straight from DRAM runs,
+//! and [`conv2d`] picks between [`conv2d_fast`] (output-x innermost) and
+//! [`conv2d_oc_inner`] (output channel innermost), whichever keeps more
+//! independent accumulators. Speed never buys a changed bit: every output
+//! element adds its terms in the order of the reference nests
+//! ([`matmul`], [`fully_connected`], [`conv2d_reference`]), so the §7.2
 //! validation can compare replayed outputs against the CPU reference
-//! executor exactly.
+//! executor exactly. The reference nests stay as the `fastpath`-off
+//! baseline and as the oracle of the differential tests.
 
 use super::bytecode::{ActKind, PoolKind};
 
@@ -84,6 +91,101 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     out
 }
 
+/// Streaming GEMM: accumulates `a[m×k] · b[k×n]` while `b` arrives as
+/// little-endian byte runs in row-major order, so a weight matrix is
+/// consumed straight from DRAM without being staged first.
+///
+/// Bit-exactness against [`matmul`]: the loops run `p` outer and `i`
+/// inner, so every `out[i][j]` still adds its terms in ascending `p`,
+/// starting from `0.0`, and skips exactly the terms whose `a[i][p]` is
+/// `0.0` (that skip is part of the numerics: `0·∞` would be NaN). Only
+/// the interleaving across different outputs changes, which f32 cannot
+/// observe.
+pub struct Gemm<'a> {
+    a: &'a [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    /// Index into `b` of the next element a run will carry.
+    next: usize,
+    out: Vec<f32>,
+}
+
+impl<'a> Gemm<'a> {
+    /// Starts a product with left operand `a[m×k]` and zeroed outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != m * k`.
+    pub fn new(a: &'a [f32], m: usize, k: usize, n: usize) -> Self {
+        assert_eq!(a.len(), m * k, "lhs size");
+        Gemm {
+            a,
+            m,
+            k,
+            n,
+            next: 0,
+            out: vec![0.0; m * n],
+        }
+    }
+
+    /// Accumulates the next run of `b`. Runs may split `b` anywhere
+    /// between two f32s, mid-row included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run` holds a partial f32 or runs past the end of `b`.
+    pub fn feed(&mut self, run: &[u8]) {
+        assert_eq!(run.len() % 4, 0, "runs hold whole f32s");
+        assert!(self.next + run.len() / 4 <= self.k * self.n, "rhs size");
+        let mut run = run;
+        while !run.is_empty() {
+            let (p, j) = (self.next / self.n, self.next % self.n);
+            let take = (self.n - j).min(run.len() / 4);
+            let (row, rest) = run.split_at(take * 4);
+            for i in 0..self.m {
+                let av = self.a[i * self.k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                let orow = &mut self.out[i * self.n + j..][..take];
+                for (o, c) in orow.iter_mut().zip(row.chunks_exact(4)) {
+                    *o += av * f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                }
+            }
+            self.next += take;
+            run = rest;
+        }
+    }
+
+    /// Finishes the product as [`fully_connected`] does: adds `bias` to
+    /// every row, then applies `act`. `(None, ActKind::None)` yields the
+    /// plain [`matmul`] result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `k * n` elements were fed or `bias` is not
+    /// `n` long.
+    pub fn finish(mut self, bias: Option<&[f32]>, act: ActKind) -> Vec<f32> {
+        assert_eq!(self.next, self.k * self.n, "rhs size");
+        if let Some(b) = bias {
+            assert_eq!(b.len(), self.n, "bias size");
+            // `max(1)`: with `n == 0` there are no rows, and no chunk size 0.
+            for row in self.out.chunks_mut(self.n.max(1)) {
+                for (o, &bv) in row.iter_mut().zip(b) {
+                    *o += bv;
+                }
+            }
+        }
+        if act != ActKind::None {
+            for o in &mut self.out {
+                *o = apply_act(act, *o);
+            }
+        }
+        self.out
+    }
+}
+
 /// Fully connected: `act(x[m×k] · w[k×n] + bias[n])`.
 pub fn fully_connected(
     x: &[f32],
@@ -97,7 +199,8 @@ pub fn fully_connected(
     let mut out = matmul(x, w, m, k, n);
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "bias size");
-        for row in out.chunks_mut(n) {
+        // `max(1)`: with `n == 0` there are no rows, and no chunk size 0.
+        for row in out.chunks_mut(n.max(1)) {
             for (o, &bv) in row.iter_mut().zip(b) {
                 *o += bv;
             }
@@ -113,11 +216,13 @@ pub fn fully_connected(
 ///
 /// Weights are laid out `cout × (cin/groups) × kh × kw`.
 ///
-/// Dispatches between the original reference loop nest and a bit-exact
-/// restructured fast loop (see [`conv2d_fast`]); both accumulate every
-/// output element in the identical `(ic, ky, kx)` order, so replayed
-/// outputs stay bit-stable either way (`conv_fast_matches_reference`
-/// proves it).
+/// With [`crate::fastpath`] on, dispatches to whichever restructured loop
+/// nest keeps more independent accumulators in its inner loop:
+/// [`conv2d_fast`] has one per output column (`wo`), [`conv2d_oc_inner`]
+/// one per output channel of the group (`cout / groups`); ties go to
+/// `conv2d_fast`. With the fast path off it runs [`conv2d_reference`].
+/// All three accumulate every output element in the identical
+/// `(icg, ky, kx)` order, so replayed outputs stay bit-stable either way.
 ///
 /// # Panics
 ///
@@ -139,16 +244,18 @@ pub fn conv2d(
     groups: usize,
     act: ActKind,
 ) -> Vec<f32> {
+    if !crate::fastpath::enabled() {
+        return conv2d_reference(
+            x, w, bias, cin, h, wd, cout, kh, kw, stride, pad, groups, act,
+        );
+    }
     let wo = out_dim(wd as u32, kw as u32, stride as u32, pad as u32) as usize;
-    // The row-vectorized loop nest only pays off when output rows are wide
-    // enough to amortize its per-row setup; narrow outputs keep the
-    // register-accumulating reference nest. Both are bit-identical.
-    if crate::fastpath::enabled() && stride == 1 && wo >= 16 {
-        conv2d_fast(
+    if cout.checked_div(groups).is_some_and(|coutg| coutg > wo) {
+        conv2d_oc_inner(
             x, w, bias, cin, h, wd, cout, kh, kw, stride, pad, groups, act,
         )
     } else {
-        conv2d_reference(
+        conv2d_fast(
             x, w, bias, cin, h, wd, cout, kh, kw, stride, pad, groups, act,
         )
     }
@@ -298,6 +405,126 @@ pub fn conv2d_fast(
             }
             for v in &mut out[oc * ho * wo..(oc + 1) * ho * wo] {
                 *v = apply_act(act, *v);
+            }
+        }
+    }
+    out
+}
+
+/// The tap range `lo..hi` along one axis that covers every tap landing
+/// inside the input for at least one of the `outn` output positions
+/// (`0..0` when none does). Taps between two valid ones are included, so
+/// the range is a hull, not an exact set.
+fn tap_hull(input: usize, kernel: usize, stride: usize, pad: usize, outn: usize) -> (usize, usize) {
+    // Same valid-output bounds as `conv2d_fast` hoists per tap.
+    let valid = |t: usize| {
+        let lo = pad.saturating_sub(t).div_ceil(stride);
+        let hi = outn.min((input + pad).saturating_sub(t).div_ceil(stride));
+        lo < hi
+    };
+    match (0..kernel).find(|&t| valid(t)) {
+        Some(lo) => (lo, (lo..kernel).rfind(|&t| valid(t)).unwrap_or(lo) + 1),
+        None => (0, 0),
+    }
+}
+
+/// Restructured direct convolution with the output channel innermost:
+/// each output pixel keeps one accumulator per output channel of its
+/// group and adds `x · w` across all of them per tap, reading a weight
+/// block transposed once per call to `[icg][ky][kx][ocg]`. Only the hull
+/// of taps that are in bounds for some output is transposed (see
+/// [`tap_hull`]); a small map under a large padded kernel would otherwise
+/// pay for taps no output reads.
+///
+/// Bit-exactness: each output element starts from its bias and walks its
+/// in-bounds `(icg, ky, kx)` taps in the reference order, exactly as in
+/// [`conv2d_reference`]; only the interleaving across output channels
+/// changes, which f32 cannot observe. Pays off when `cout / groups`
+/// exceeds the output width (narrow or strided maps); a depthwise conv
+/// (`cout / groups == 1`) would run one-wide inner loops.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_oc_inner(
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    cin: usize,
+    h: usize,
+    wd: usize,
+    cout: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+    groups: usize,
+    act: ActKind,
+) -> Vec<f32> {
+    assert!(
+        groups > 0 && cin % groups == 0 && cout % groups == 0,
+        "bad groups"
+    );
+    let cing = cin / groups;
+    let coutg = cout / groups;
+    assert_eq!(x.len(), cin * h * wd, "input size");
+    assert_eq!(w.len(), cout * cing * kh * kw, "weight size");
+    let ho = out_dim(h as u32, kh as u32, stride as u32, pad as u32) as usize;
+    let wo = out_dim(wd as u32, kw as u32, stride as u32, pad as u32) as usize;
+    let mut out = vec![0.0f32; cout * ho * wo];
+    let (ky0, ky1) = tap_hull(h, kh, stride, pad, ho);
+    let (kx0, kx1) = tap_hull(wd, kw, stride, pad, wo);
+    let (kyn, kxn) = (ky1 - ky0, kx1 - kx0);
+    // wt[((ic * kyn + ky - ky0) * kxn + kx - kx0) * coutg + ocg], where
+    // ic = g * cing + icg already selects the group. Transposed 16 output
+    // channels at a time: each pass reads 16 weight rows front to back
+    // and writes whole cache lines, where a plain transpose would stride
+    // a power-of-two distance through one side and thrash a few sets.
+    let mut wt = vec![0.0f32; cin * kyn * kxn * coutg];
+    for g in 0..groups {
+        for ob in (0..coutg).step_by(16) {
+            let block = ob..coutg.min(ob + 16);
+            for icg in 0..cing {
+                let ic = g * cing + icg;
+                for ky in ky0..ky1 {
+                    for kx in kx0..kx1 {
+                        let t = ((ic * kyn + ky - ky0) * kxn + kx - kx0) * coutg;
+                        for ocg in block.clone() {
+                            let oc = g * coutg + ocg;
+                            wt[t + ocg] = w[((oc * cing + icg) * kh + ky) * kw + kx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let mut acc = vec![0.0f32; coutg];
+    for g in 0..groups {
+        for oy in 0..ho {
+            // In-bounds taps for this row: iy = oy*stride + ky - pad in [0, h).
+            let ky_lo = pad.saturating_sub(oy * stride);
+            let ky_hi = kh.min((h + pad).saturating_sub(oy * stride));
+            for ox in 0..wo {
+                let kx_lo = pad.saturating_sub(ox * stride);
+                let kx_hi = kw.min((wd + pad).saturating_sub(ox * stride));
+                match bias {
+                    Some(b) => acc.copy_from_slice(&b[g * coutg..(g + 1) * coutg]),
+                    None => acc.fill(0.0),
+                }
+                for icg in 0..cing {
+                    let ic = g * cing + icg;
+                    for ky in ky_lo..ky_hi {
+                        let xrow = &x[(ic * h + oy * stride + ky - pad) * wd..][..wd];
+                        let wrow = (ic * kyn + ky - ky0) * kxn;
+                        for kx in kx_lo..kx_hi {
+                            let xv = xrow[ox * stride + kx - pad];
+                            let wv = &wt[(wrow + kx - kx0) * coutg..][..coutg];
+                            for (a, &wv) in acc.iter_mut().zip(wv) {
+                                *a += xv * wv;
+                            }
+                        }
+                    }
+                }
+                for (ocg, &a) in acc.iter().enumerate() {
+                    out[((g * coutg + ocg) * ho + oy) * wo + ox] = apply_act(act, a);
+                }
             }
         }
     }
@@ -738,9 +965,75 @@ pub fn pool_grad(
     dx
 }
 
+/// Seeded test data shared by the kernel and executor differential tests.
+#[cfg(test)]
+pub(crate) mod testdata {
+    use super::ActKind;
+
+    /// SplitMix64 stream: shapes and values drawn from one proptest seed.
+    pub(crate) struct Draw(pub(crate) u64);
+
+    impl Draw {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..hi`.
+        pub(crate) fn range(&mut self, lo: usize, hi: usize) -> usize {
+            lo + (self.next() % (hi - lo) as u64) as usize
+        }
+
+        /// A finite value in `[-4, 4)`, exactly `0.0` one time in six (to
+        /// exercise the GEMM zero skip); with `special`, also NaN with a
+        /// random payload and sign, `±∞` and `±0.0`.
+        pub(crate) fn val(&mut self, special: bool) -> f32 {
+            let r = self.next();
+            match (special, r % 12) {
+                (true, 0) => f32::from_bits((r >> 32) as u32 & 0x803f_ffff | 0x7fc0_0000),
+                (true, 1) => f32::INFINITY,
+                (true, 2) => f32::NEG_INFINITY,
+                (true, 3) => -0.0,
+                (_, 4 | 5) => 0.0,
+                _ => ((r >> 11) as f32 / (1u64 << 53) as f32) * 8.0 - 4.0,
+            }
+        }
+
+        pub(crate) fn vals(&mut self, n: usize, special: bool) -> Vec<f32> {
+            (0..n).map(|_| self.val(special)).collect()
+        }
+
+        pub(crate) fn act(&mut self) -> ActKind {
+            ActKind::from_u32(self.range(0, 6) as u32).expect("six kinds")
+        }
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN: Rust leaves
+    /// the payload of a NaN produced by arithmetic unspecified.
+    pub(crate) fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    pub(crate) fn le_bytes(v: &[f32]) -> Vec<u8> {
+        v.iter().flat_map(|x| x.to_le_bytes()).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testdata::{bits, le_bytes, same_bits, Draw};
     use super::*;
+    use proptest::prelude::*;
 
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {
         assert_eq!(a.len(), b.len());
@@ -1090,5 +1383,171 @@ mod tests {
         assert_eq!(out_dim(10, u32::MAX, 1, 1 << 31), 12);
         // Large-but-valid dimensions keep the exact formula.
         assert_eq!(out_dim(1 << 30, 1, 1 << 20, 0), 1 << 10);
+    }
+
+    /// Feeds `b` to a [`Gemm`] in runs cut at `cuts` (element indices,
+    /// any order, duplicates give empty runs).
+    fn gemm_in_runs(
+        a: &[f32],
+        b: &[f32],
+        bias: Option<&[f32]>,
+        (m, k, n): (usize, usize, usize),
+        act: ActKind,
+        cuts: &mut [usize],
+    ) -> Vec<f32> {
+        let bytes = le_bytes(b);
+        let mut g = Gemm::new(a, m, k, n);
+        cuts.sort_unstable();
+        let mut at = 0;
+        for &c in cuts.iter().chain([b.len()].iter()) {
+            g.feed(&bytes[at * 4..c * 4]);
+            at = c;
+        }
+        g.finish(bias, act)
+    }
+
+    fn gemm_case(seed: u64, special: bool) {
+        let mut d = Draw(seed);
+        let (m, k, n) = (d.range(1, 4), d.range(0, 24), d.range(0, 40));
+        let a = d.vals(m * k, special);
+        let b = d.vals(k * n, special);
+        let bias = d.vals(n, special);
+        let bias = (d.range(0, 2) == 1).then_some(&bias[..]);
+        let act = d.act();
+        let mut cuts: Vec<usize> = (0..d.range(0, 6)).map(|_| d.range(0, k * n + 1)).collect();
+        let streamed = gemm_in_runs(&a, &b, bias, (m, k, n), act, &mut cuts);
+        let oracle = fully_connected(&a, &b, bias, m, k, n, act);
+        if special {
+            assert!(
+                same_bits(&streamed, &oracle),
+                "seed {seed:#x}: {streamed:?} vs {oracle:?}"
+            );
+        } else {
+            assert_eq!(bits(&streamed), bits(&oracle), "seed {seed:#x}");
+        }
+        if bias.is_none() && act == ActKind::None {
+            let plain = gemm_in_runs(&a, &b, None, (m, k, n), act, &mut cuts);
+            assert!(
+                same_bits(&plain, &matmul(&a, &b, m, k, n)),
+                "seed {seed:#x}"
+            );
+        }
+    }
+
+    /// One random conv shape: groups, strides, pads, kernels larger than
+    /// the input, 1×1 maps and depthwise (`cout / groups == 1`) included.
+    fn conv_case(seed: u64, special: bool) {
+        let mut d = Draw(seed);
+        let groups = d.range(1, 4);
+        let (cin, cout) = (groups * d.range(1, 4), groups * d.range(1, 7));
+        let (h, wd) = if d.range(0, 4) == 0 {
+            (1, 1)
+        } else {
+            (d.range(1, 10), d.range(1, 10))
+        };
+        let (kh, kw) = (d.range(1, 8), d.range(1, 8));
+        let (stride, pad) = (d.range(1, 5), d.range(0, 5));
+        let x = d.vals(cin * h * wd, special);
+        let w = d.vals(cout * (cin / groups) * kh * kw, special);
+        let b = d.vals(cout, special);
+        let bias = (d.range(0, 2) == 1).then_some(&b[..]);
+        let act = d.act();
+        let shape = (cin, h, wd, cout, kh, kw, stride, pad, groups);
+        let reference = conv2d_reference(
+            &x, &w, bias, cin, h, wd, cout, kh, kw, stride, pad, groups, act,
+        );
+        for (name, out) in [
+            (
+                "oc_inner",
+                conv2d_oc_inner(
+                    &x, &w, bias, cin, h, wd, cout, kh, kw, stride, pad, groups, act,
+                ),
+            ),
+            (
+                "fast",
+                conv2d_fast(
+                    &x, &w, bias, cin, h, wd, cout, kh, kw, stride, pad, groups, act,
+                ),
+            ),
+            (
+                "dispatch",
+                conv2d(
+                    &x, &w, bias, cin, h, wd, cout, kh, kw, stride, pad, groups, act,
+                ),
+            ),
+        ] {
+            if special {
+                assert!(
+                    same_bits(&out, &reference),
+                    "{name} seed {seed:#x} shape {shape:?}"
+                );
+            } else {
+                assert_eq!(
+                    bits(&out),
+                    bits(&reference),
+                    "{name} seed {seed:#x} shape {shape:?}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn gemm_stream_matches_reference_bit_exactly(seed in any::<u64>()) {
+            gemm_case(seed, false);
+        }
+
+        #[test]
+        fn gemm_stream_matches_reference_on_nan_inf_and_negative_zero(seed in any::<u64>()) {
+            gemm_case(seed, true);
+        }
+
+        #[test]
+        fn conv_loop_orders_match_reference_bit_exactly(seed in any::<u64>()) {
+            conv_case(seed, false);
+        }
+
+        #[test]
+        fn conv_loop_orders_match_reference_on_nan_inf_and_negative_zero(seed in any::<u64>()) {
+            conv_case(seed, true);
+        }
+    }
+
+    #[test]
+    fn gemm_keeps_the_zero_skip() {
+        // 0 · ∞ is NaN: a term whose `a` is exactly 0.0 must be skipped,
+        // as the reference does, not added.
+        let b = le_bytes(&[f32::INFINITY, 1.0]);
+        let mut g = Gemm::new(&[0.0, 2.0], 1, 2, 1);
+        g.feed(&b[..4]);
+        g.feed(&b[4..]);
+        assert_eq!(g.finish(None, ActKind::None), vec![2.0]);
+    }
+
+    #[test]
+    fn tap_hull_covers_the_taps_some_output_reads() {
+        assert_eq!(tap_hull(1, 3, 1, 1, 1), (1, 2), "k3/pad1 on a 1-wide map");
+        assert_eq!(tap_hull(28, 5, 1, 2, 28), (0, 5));
+        // Valid taps {0, 3} with a gap: the hull spans it.
+        assert_eq!(tap_hull(1, 4, 3, 3, 2), (0, 4));
+        // No tap lands inside the input.
+        assert_eq!(tap_hull(1, 3, 10, 5, 1), (0, 0));
+        let x = vec![1.0f32; 1];
+        let out = conv2d_oc_inner(
+            &x,
+            &[0.5; 2 * 9],
+            Some(&[0.25, -0.25]),
+            1,
+            1,
+            1,
+            2,
+            3,
+            3,
+            1,
+            1,
+            1,
+            ActKind::None,
+        );
+        assert_eq!(out, vec![0.75, 0.25]);
     }
 }
