@@ -227,25 +227,87 @@ pub fn fig05_interaction_gaps() -> String {
     out
 }
 
-/// Table 4: codebase comparison by counting workspace SLoC.
+/// Source lines of `src` that are neither blank nor `//` comments, not
+/// counting `#[cfg(test)]` items (a test module, a test-only function or
+/// import).
+fn sloc(src: &str) -> usize {
+    let mut count = 0;
+    // Inside a `#[cfg(test)]` item: the brace depth, and whether its
+    // body has opened yet.
+    let mut skipping: Option<(i64, bool)> = None;
+    for line in src.lines() {
+        let t = line.trim();
+        if let Some((depth, opened)) = &mut skipping {
+            *depth += brace_delta(t);
+            *opened |= t.contains('{');
+            if *depth <= 0 && (*opened || t.ends_with(';')) {
+                skipping = None;
+            }
+            continue;
+        }
+        if let Some(rest) = t.strip_prefix("#[cfg(test)]") {
+            let depth = brace_delta(rest);
+            let opened = rest.contains('{');
+            if !(depth <= 0 && (opened || rest.trim_end().ends_with(';'))) {
+                skipping = Some((depth, opened));
+            }
+            continue;
+        }
+        if !t.is_empty() && !t.starts_with("//") {
+            count += 1;
+        }
+    }
+    count
+}
+
+/// `{` minus `}` on one line, outside string and char literals and `//`
+/// comments.
+fn brace_delta(line: &str) -> i64 {
+    let mut delta = 0;
+    let mut chars = line.chars().peekable();
+    let mut in_str = false;
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' if in_str => {
+                chars.next();
+            }
+            '"' => in_str = !in_str,
+            _ if in_str => {}
+            '/' if chars.peek() == Some(&'/') => break,
+            // A char literal such as '{' (a lifetime has no closing quote).
+            '\'' => {
+                let lit: String = chars.clone().take(3).collect();
+                if lit.starts_with('\\') {
+                    chars.nth(2);
+                } else if lit.chars().nth(1) == Some('\'') {
+                    chars.nth(1);
+                }
+            }
+            '{' => delta += 1,
+            '}' => delta -= 1,
+            _ => {}
+        }
+    }
+    delta
+}
+
+/// Table 4: codebase comparison by counting workspace SLoC of non-test
+/// code (`tests/` and `benches/` directories and `#[cfg(test)]` items are
+/// skipped).
 pub fn tab04_codebase() -> String {
-    fn sloc(dir: &str) -> usize {
+    fn crate_sloc(dir: &str) -> usize {
         fn walk(p: &std::path::Path, acc: &mut usize) {
-            if let Ok(entries) = std::fs::read_dir(p) {
-                for e in entries.flatten() {
-                    let path = e.path();
-                    if path.is_dir() {
+            let Ok(entries) = std::fs::read_dir(p) else {
+                return;
+            };
+            for path in entries.flatten().map(|e| e.path()) {
+                if path.is_dir() {
+                    if !path.ends_with("tests") && !path.ends_with("benches") {
                         walk(&path, acc);
-                    } else if path.extension().is_some_and(|x| x == "rs") {
-                        if let Ok(content) = std::fs::read_to_string(&path) {
-                            *acc += content
-                                .lines()
-                                .filter(|l| {
-                                    let t = l.trim();
-                                    !t.is_empty() && !t.starts_with("//")
-                                })
-                                .count();
-                        }
+                    }
+                } else if path.extension().is_some_and(|x| x == "rs") {
+                    if let Ok(content) = std::fs::read_to_string(&path) {
+                        *acc += sloc(&content);
                     }
                 }
             }
@@ -255,13 +317,15 @@ pub fn tab04_codebase() -> String {
         walk(&root.join(dir), &mut acc);
         acc
     }
-    let runtime = sloc("crates/stack/src/runtime");
-    let driver = sloc("crates/stack/src/driver");
-    let mlfw = sloc("crates/mlfw/src");
-    let recorder = sloc("crates/recorder/src");
-    let replayer = sloc("crates/core/src");
+    let runtime = crate_sloc("crates/stack/src/runtime");
+    let driver = crate_sloc("crates/stack/src/driver");
+    let mlfw = crate_sloc("crates/mlfw/src");
+    let recorder = crate_sloc("crates/recorder/src");
+    let replayer = crate_sloc("crates/core/src");
+    let service = crate_sloc("crates/replayer/src");
     let mut out = String::from(
         "## Table 4 — Codebase comparison (SLoC of this reproduction)\n\n\
+         Non-test code only: `tests/`, `benches/` and `#[cfg(test)]` items are not counted.\n\n\
          | component | SLoC | role |\n|---|---|---|\n",
     );
     let _ = writeln!(
@@ -279,7 +343,11 @@ pub fn tab04_codebase() -> String {
     );
     let _ = writeln!(
         out,
-        "| **Replayer (whole target-side stack)** | **{replayer}** | GR |"
+        "| **Replayer (gr-replayer, whole target-side stack)** | **{replayer}** | GR |"
+    );
+    let _ = writeln!(
+        out,
+        "| Replay service (gr-service, host-side scheduler) | {service} | GR extension, not on the target |"
     );
     let _ = writeln!(
         out,
@@ -818,6 +886,38 @@ pub fn fig_checkpoint() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sloc_skips_test_items_and_comments() {
+        let src = r#"
+// A comment.
+fn counted() -> &'static str {
+    "{ not a brace"
+}
+
+#[cfg(test)]
+use std::fmt;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn brace_chars() {
+        assert_eq!('{', '{');
+        let _ = format!("{}}}", 1);
+    }
+}
+
+#[cfg(test)]
+fn oracle() {}
+
+const AFTER: u8 = 1;
+"#;
+        assert_eq!(sloc(src), 4, "counted()'s three lines and AFTER");
+        let test_module = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+        assert_eq!(sloc(test_module), 0);
+    }
 
     #[test]
     fn os_measurement_is_sane() {

@@ -1,21 +1,34 @@
 //! Modeled replayer costs — why GR startup is "register accesses and GPU
 //! memory copy" instead of seconds of stack initialization.
+//!
+//! Every constant here drives *virtual* time only. Each is labelled with
+//! how it was set: all are modelled, none is calibrated against a
+//! hardware or wall-clock measurement. Wall-clock figures come from
+//! `perfbench` and are quoted next to a constant only for comparison.
 
 use gr_sim::SimDuration;
 
-/// Interpreter dispatch per action.
+/// Modelled, not calibrated: interpreter dispatch per action. An
+/// estimate of a bounds-checked match over one action on a client CPU.
 pub const ACTION_DISPATCH: SimDuration = SimDuration::from_nanos(300);
 
-/// Interpreter dispatch per action on a pre-resolved batch suffix
-/// (`replay_batch`): bounds checks, dead-upload lookups, and payload
+/// Modelled, not calibrated: interpreter dispatch per action on a
+/// pre-resolved batch suffix (`replay_batch`). Set together with batched
+/// replay as a third of [`ACTION_DISPATCH`], so the dispatch part of the
+/// batched-vs-sequential virtual gain (`tests/virtual_gates.rs`) follows
+/// from this value, not from a measurement. Bounds checks, dead-upload
+/// lookups, and payload
 /// validation were done once when the batch started, so warm re-runs are
 /// a branch-light sweep over resolved actions. The difference to
 /// [`ACTION_DISPATCH`] is charged once per suffix action at batch start.
 pub const ACTION_DISPATCH_WARM: SimDuration = SimDuration::from_nanos(100);
 
-/// Bookkeeping charge for a prologue action elided by cross-batch warm
-/// residency: the replayer still walks the resolved action list and
-/// consults the dirty log, but performs no register access or transfer.
+/// Modelled, not calibrated: bookkeeping charge for a prologue action
+/// elided by cross-batch warm residency. Set together with residency, so
+/// the residency virtual gain (`tests/virtual_gates.rs`) follows from
+/// this value, not from a measurement. The replayer still walks the
+/// resolved action list and consults the dirty log, but performs no
+/// register access or transfer.
 pub const ACTION_RESIDENT_SKIP: SimDuration = SimDuration::from_nanos(20);
 
 /// Modelled, not calibrated: content-check throughput for the residency
@@ -42,16 +55,24 @@ pub const STORAGE_BW: f64 = 120e6;
 /// bulk decoder.
 pub const DECOMPRESS_BW: f64 = 300e6;
 
-/// Copying dumps into GPU memory, bytes/sec.
+/// Modelled, not calibrated: copying dumps and inputs into GPU memory
+/// (and outputs back), bytes/sec. An estimate of a memcpy into shared
+/// DRAM on a client SoC.
 pub const UPLOAD_BW: f64 = 2.0e9;
 
-/// Rebuilding one PTE.
+/// Modelled, not calibrated: rebuilding one PTE (§5.2: the nano driver
+/// rewrites recorded page-table entries). An estimate of a frame
+/// allocation plus one table write.
 pub const MAP_PER_PAGE: SimDuration = SimDuration::from_nanos(500);
 
-/// Interrupt-context switch (enter or eret).
+/// Modelled, not calibrated: interrupt-context switch (enter or eret),
+/// charged per recorded `IrqContext` action. An estimate of an
+/// exception-level transition.
 pub const IRQ_CTX_SWITCH: SimDuration = SimDuration::from_nanos(800);
 
-/// Checkpoint copy bandwidth (GPU memory + registers → host), bytes/sec.
+/// Modelled, not calibrated: checkpoint copy bandwidth (GPU memory +
+/// registers → host), bytes/sec. Set below [`UPLOAD_BW`] because a
+/// checkpoint also snapshots and serializes register state.
 pub const CHECKPOINT_BW: f64 = 0.4e9;
 
 /// Duration of moving `bytes` at `bw` bytes/sec.

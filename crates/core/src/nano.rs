@@ -187,9 +187,7 @@ impl NanoDriver {
     ///
     /// Fails when the range is unmapped.
     pub fn write_va(&self, va: u64, data: &[u8]) -> Result<(), ReplayError> {
-        // The guard is taken once for the whole transfer; the pre-fast-path
-        // baseline re-locks per chunk (kept for `bench_exec`'s baseline).
-        let mut g = gr_gpu::fastpath::enabled().then(|| self.machine.mem().write_guard());
+        let mut g = self.machine.mem().write_guard();
         let mut done = 0usize;
         while done < data.len() {
             let cur = va + done as u64;
@@ -198,11 +196,8 @@ impl NanoDriver {
             let page = off / PAGE_SIZE;
             let chunk = (PAGE_SIZE - off % PAGE_SIZE).min(data.len() - done);
             let pa = region.pas[page] + (off % PAGE_SIZE) as u64;
-            match &mut g {
-                Some(g) => g.write(pa, &data[done..done + chunk]),
-                None => self.machine.mem().write(pa, &data[done..done + chunk]),
-            }
-            .map_err(|_| ReplayError::OutOfMemory)?;
+            g.write(pa, &data[done..done + chunk])
+                .map_err(|_| ReplayError::OutOfMemory)?;
             done += chunk;
         }
         Ok(())
@@ -215,7 +210,7 @@ impl NanoDriver {
     ///
     /// Fails when the range is unmapped.
     pub fn read_va(&self, va: u64, out: &mut [u8]) -> Result<(), ReplayError> {
-        let g = gr_gpu::fastpath::enabled().then(|| self.machine.mem().read_guard());
+        let g = self.machine.mem().read_guard();
         let len = out.len();
         let mut done = 0usize;
         while done < len {
@@ -225,11 +220,8 @@ impl NanoDriver {
             let page = off / PAGE_SIZE;
             let chunk = (PAGE_SIZE - off % PAGE_SIZE).min(len - done);
             let pa = region.pas[page] + (off % PAGE_SIZE) as u64;
-            match &g {
-                Some(g) => g.read(pa, &mut out[done..done + chunk]),
-                None => self.machine.mem().read(pa, &mut out[done..done + chunk]),
-            }
-            .map_err(|_| ReplayError::OutOfMemory)?;
+            g.read(pa, &mut out[done..done + chunk])
+                .map_err(|_| ReplayError::OutOfMemory)?;
             done += chunk;
         }
         Ok(())

@@ -1072,15 +1072,7 @@ impl Replayer {
                         .gpu_access()
                         .note_write(dump.va, dump.bytes.len() as u64);
                     machine.advance(costs::xfer(dump.bytes.len() as u64, costs::UPLOAD_BW));
-                    if gr_gpu::fastpath::enabled() {
-                        // Zero-copy: upload straight from the staged
-                        // recording instead of cloning megabytes of dump
-                        // per replay.
-                        self.nano.write_va(dump.va, &dump.bytes)?;
-                    } else {
-                        let (va, bytes) = (dump.va, dump.bytes.clone());
-                        self.nano.write_va(va, &bytes)?;
-                    }
+                    self.nano.write_va(dump.va, &dump.bytes)?;
                 }
                 Action::CopyToGpu { slot } => {
                     let rec = &self.loaded[id].rec;
@@ -1092,12 +1084,7 @@ impl Replayer {
                         io.inputs[slot as usize].len() as u64,
                         costs::UPLOAD_BW,
                     ));
-                    if gr_gpu::fastpath::enabled() {
-                        self.nano.write_va(va, &io.inputs[slot as usize])?;
-                    } else {
-                        let data = io.inputs[slot as usize].clone();
-                        self.nano.write_va(va, &data)?;
-                    }
+                    self.nano.write_va(va, &io.inputs[slot as usize])?;
                 }
                 Action::CopyFromGpu { slot } => {
                     let rec = &self.loaded[id].rec;

@@ -1,14 +1,25 @@
-//! The device-model contract shared by both GPU families, plus the
-//! VA-translating memory accessor their execution engines use.
+//! The device-model contract shared by both GPU families: the
+//! VA-translating memory accessor and the one job executor both device
+//! models run their jobs through.
+//!
+//! A device parses its own job format (a Mali job chain, a v3d control
+//! list) into a list of shader blobs, then hands that list to
+//! [`JobMem::execute`]. The executor fetches, decodes and executes each
+//! blob in order, at completion time, through the device's [`SoftTlb`],
+//! access log and [`ExecScratch`]. It reports failures as a
+//! family-neutral [`JobFault`], which each device maps to its own fault
+//! registers.
 
 use std::collections::HashMap;
 
 use gr_sim::SimTime;
 use gr_soc::{SharedMem, PAGE_SIZE};
 
+use crate::access::{LoggingVaMem, SharedAccessLog};
 use crate::faults::FaultKind;
 use crate::sku::GpuSku;
-use crate::vm::exec::VaMem;
+use crate::vm::bytecode::KernelOp;
+use crate::vm::exec::{execute_with, ExecError, ExecScratch, VaMem};
 
 /// A simulated GPU as seen by the machine: registers, event-driven
 /// execution, and fault-injection hooks.
@@ -166,7 +177,6 @@ pub struct TranslatingVaMem<'a, F> {
     mem: &'a SharedMem,
     translate: F,
     tlb: Option<&'a mut SoftTlb>,
-    legacy: bool,
     segs: Vec<Segment>,
 }
 
@@ -181,7 +191,6 @@ where
             mem,
             translate,
             tlb: None,
-            legacy: false,
             segs: Vec::new(),
         }
     }
@@ -192,21 +201,6 @@ where
             mem,
             translate,
             tlb: Some(tlb),
-            legacy: false,
-            segs: Vec::new(),
-        }
-    }
-
-    /// Creates an accessor that reproduces the pre-fast-path behaviour
-    /// exactly: translate every page on every access and take the DRAM
-    /// lock per 4-KiB chunk. Used as the measured baseline by
-    /// `bench_exec` when [`crate::fastpath`] is disabled.
-    pub fn legacy(mem: &'a SharedMem, translate: F) -> Self {
-        TranslatingVaMem {
-            mem,
-            translate,
-            tlb: None,
-            legacy: true,
             segs: Vec::new(),
         }
     }
@@ -238,9 +232,6 @@ where
 
     /// Reads `out.len()` bytes at `va` without allocating.
     fn read_into(&mut self, va: u64, out: &mut [u8]) -> Result<(), u64> {
-        if self.legacy {
-            return self.legacy_read_into(va, out);
-        }
         self.plan(va, out.len(), false)?;
         let g = self.mem.read_guard();
         for s in &self.segs {
@@ -252,53 +243,11 @@ where
 
     /// Writes `data` at `va` without allocating.
     fn write_from(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
-        if self.legacy {
-            return self.legacy_write_from(va, data);
-        }
         self.plan(va, data.len(), true)?;
         let mut g = self.mem.write_guard();
         for s in &self.segs {
             g.write(s.pa, &data[s.off..s.off + s.len])
                 .map_err(|_| va + s.off as u64)?;
-        }
-        Ok(())
-    }
-
-    /// The original chunk-at-a-time path: walk, lock, copy, repeat.
-    fn legacy_read_into(&mut self, va: u64, out: &mut [u8]) -> Result<(), u64> {
-        let len = out.len();
-        let mut done = 0usize;
-        while done < len {
-            let cur_va = va + done as u64;
-            let page_va = cur_va & !(PAGE_SIZE as u64 - 1);
-            let in_page = (PAGE_SIZE as u64 - (cur_va - page_va)) as usize;
-            let chunk = in_page.min(len - done);
-            let (page_pa, _w) = (self.translate)(page_va).ok_or(cur_va)?;
-            let pa = page_pa + (cur_va - page_va);
-            self.mem
-                .read(pa, &mut out[done..done + chunk])
-                .map_err(|_| cur_va)?;
-            done += chunk;
-        }
-        Ok(())
-    }
-
-    fn legacy_write_from(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
-        let mut done = 0usize;
-        while done < data.len() {
-            let cur_va = va + done as u64;
-            let page_va = cur_va & !(PAGE_SIZE as u64 - 1);
-            let in_page = (PAGE_SIZE as u64 - (cur_va - page_va)) as usize;
-            let chunk = in_page.min(data.len() - done);
-            let (page_pa, writable) = (self.translate)(page_va).ok_or(cur_va)?;
-            if !writable {
-                return Err(cur_va);
-            }
-            let pa = page_pa + (cur_va - page_va);
-            self.mem
-                .write(pa, &data[done..done + chunk])
-                .map_err(|_| cur_va)?;
-            done += chunk;
         }
         Ok(())
     }
@@ -319,17 +268,6 @@ where
     }
 
     fn read_f32s_into(&mut self, va: u64, n: usize, out: &mut Vec<f32>) -> Result<(), u64> {
-        if self.legacy {
-            // Pre-fast-path behaviour: allocate a fresh staging vector.
-            let bytes = self.read_bytes(va, n * 4)?;
-            out.clear();
-            out.extend(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4"))),
-            );
-            return Ok(());
-        }
         // Zero-copy: decode straight out of guarded DRAM into the caller's
         // f32 buffer — no byte staging pass at all. f32s that straddle a
         // page boundary are stitched through a 4-byte carry.
@@ -392,13 +330,6 @@ where
     }
 
     fn write_f32s(&mut self, va: u64, vals: &[f32]) -> Result<(), u64> {
-        if self.legacy {
-            let mut bytes = Vec::with_capacity(vals.len() * 4);
-            for v in vals {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            return self.write_bytes(va, &bytes);
-        }
         // Zero-copy: encode straight into guarded DRAM.
         self.plan(va, vals.len() * 4, true)?;
         let mut g = self.mem.write_guard();
@@ -415,6 +346,128 @@ where
                     *b = vals[byte / 4].to_le_bytes()[byte % 4];
                 }
             }
+        }
+        Ok(())
+    }
+}
+
+/// A page as a device's MMU resolves it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PageMapping {
+    /// Physical address of the page.
+    pub(crate) pa: u64,
+    /// Kernels may store to the page.
+    pub(crate) write: bool,
+    /// Job binaries (descriptors, lists, shader blobs) may be fetched from
+    /// the page. v3d has no exec bit, so every valid v3d mapping sets it.
+    pub(crate) exec: bool,
+}
+
+/// A device's page-table walk for its active address space.
+pub(crate) trait PageWalk {
+    /// Resolves `page_va`; `None` when it is unmapped or the MMU is off.
+    fn walk(&self, mem: &SharedMem, page_va: u64) -> Option<PageMapping>;
+}
+
+/// Why a job failed, in terms both GPU families share. Each device maps
+/// it to its own registers: Mali to `AS_FAULT_*` and `JOB_IRQ_FAIL0`,
+/// v3d to `INT_MMU_FAULT` and `ERR_BAD_CL`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum JobFault {
+    /// `va` has no valid translation, is written while read-only, or is
+    /// backed by a frame outside DRAM.
+    Translation {
+        /// Faulting virtual address.
+        va: u64,
+    },
+    /// A job binary was fetched from `va`, which is mapped but not
+    /// executable.
+    Permission {
+        /// Faulting virtual address.
+        va: u64,
+    },
+    /// A descriptor, list or shader blob did not decode, or an op's
+    /// parameters were inconsistent.
+    Malformed,
+}
+
+/// One job's view of GPU memory: DRAM, the device's page-table walk and
+/// the access log every fetch and kernel access is noted in.
+pub(crate) struct JobMem<W> {
+    mem: SharedMem,
+    log: SharedAccessLog,
+    walk: W,
+}
+
+impl<W: PageWalk> JobMem<W> {
+    /// Wraps a device's DRAM handle, access log and active page walk.
+    pub(crate) fn new(mem: SharedMem, log: SharedAccessLog, walk: W) -> Self {
+        JobMem { mem, log, walk }
+    }
+
+    /// Fetches `len` bytes of a job binary at `va`. Every page must be
+    /// mapped executable: this is the hardware behaviour behind the
+    /// paper's §6.1 dump heuristic. Fetches walk the page tables rather
+    /// than the [`SoftTlb`], so a PTE corrupted since the last job faults
+    /// here.
+    ///
+    /// # Errors
+    ///
+    /// [`JobFault::Translation`] or [`JobFault::Permission`] at the first
+    /// byte of the offending page.
+    pub(crate) fn fetch(&self, va: u64, len: usize) -> Result<Vec<u8>, JobFault> {
+        self.log.note_read(va, len as u64);
+        let mut out = vec![0u8; len];
+        let mut done = 0usize;
+        while done < len {
+            let cur = va + done as u64;
+            let page_va = cur & !(PAGE_SIZE as u64 - 1);
+            let page = self
+                .walk
+                .walk(&self.mem, page_va)
+                .ok_or(JobFault::Translation { va: cur })?;
+            if !page.exec {
+                return Err(JobFault::Permission { va: cur });
+            }
+            let chunk = ((PAGE_SIZE as u64 - (cur - page_va)) as usize).min(len - done);
+            self.mem
+                .read(page.pa + (cur - page_va), &mut out[done..done + chunk])
+                .map_err(|_| JobFault::Translation { va: cur })?;
+            done += chunk;
+        }
+        Ok(out)
+    }
+
+    /// Fetches, decodes and executes each shader blob `(va, len)` in
+    /// order. Blob `i + 1` is fetched after blob `i` has run, so outputs
+    /// always come from the bytes in memory at completion, and a chain
+    /// that faults part-way leaves the earlier blobs' writes in place.
+    ///
+    /// # Errors
+    ///
+    /// The first fetch, decode or execution failure.
+    pub(crate) fn execute(
+        &self,
+        shaders: impl IntoIterator<Item = (u64, usize)>,
+        tlb: &mut SoftTlb,
+        scratch: &mut ExecScratch,
+    ) -> Result<(), JobFault> {
+        let translate = |page_va| {
+            self.walk
+                .walk(&self.mem, page_va)
+                .map(|page| (page.pa, page.write))
+        };
+        let mut vamem = TranslatingVaMem::with_tlb(&self.mem, translate, tlb);
+        let mut vamem = LoggingVaMem {
+            inner: &mut vamem,
+            log: &self.log,
+        };
+        for (va, len) in shaders {
+            let op = KernelOp::decode(&self.fetch(va, len)?).map_err(|_| JobFault::Malformed)?;
+            execute_with(&op, &mut vamem, scratch).map_err(|e| match e {
+                ExecError::MemFault { va } => JobFault::Translation { va },
+                ExecError::BadShader(_) | ExecError::BadParams(_) => JobFault::Malformed,
+            })?;
         }
         Ok(())
     }

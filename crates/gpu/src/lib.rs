@@ -29,7 +29,6 @@
 
 pub mod access;
 pub mod device;
-pub mod fastpath;
 pub mod faults;
 pub mod machine;
 pub mod mali;

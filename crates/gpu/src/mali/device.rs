@@ -10,16 +10,14 @@
 use gr_sim::{EventQueue, SimClock, SimRng, SimTime};
 use gr_soc::{IrqController, SharedMem, SharedPmc};
 
-use crate::device::{GpuDev, SoftTlb, TranslatingVaMem};
-use crate::fastpath;
+use crate::device::{GpuDev, JobFault, JobMem, PageMapping, PageWalk, SoftTlb};
 use crate::faults::FaultKind;
 use crate::mali::jobs::{JobHeader, JOB_HEADER_SIZE, MAX_CHAIN_LEN};
 use crate::mali::pgtable;
 use crate::mali::regs::{self as r, irq_lines};
-use crate::sku::GpuSku;
+use crate::sku::{GpuSku, PteFormat};
 use crate::timing::{self, JobCost};
-use crate::vm::bytecode::KernelOp;
-use crate::vm::exec::{execute_with, ExecError, ExecScratch};
+use crate::vm::exec::ExecScratch;
 use gr_soc::pmc::PmcDomain;
 
 /// Completion events on the device timeline.
@@ -42,11 +40,41 @@ struct QueuedJob {
     affinity: u32,
 }
 
-/// Chain parsed and shaders decoded at submit time, so completion does
-/// not re-fetch and re-decode the same (hardware-owned) job memory.
-struct CachedChain {
-    head_va: u64,
-    ops: Vec<KernelOp>,
+/// Address space 0 as the MMU walks it: this SKU's PTE format under the
+/// active `AS0_TRANSTAB`, or nothing while `AS0_TRANSCFG` disables it.
+struct ActiveAs {
+    fmt: PteFormat,
+    root: u64,
+    enabled: bool,
+}
+
+impl PageWalk for ActiveAs {
+    fn walk(&self, mem: &SharedMem, page_va: u64) -> Option<PageMapping> {
+        if !self.enabled {
+            return None;
+        }
+        pgtable::translate(mem, self.fmt, self.root, page_va).map(|(pa, flags)| PageMapping {
+            pa,
+            write: flags.write,
+            exec: flags.exec,
+        })
+    }
+}
+
+/// Reads the job chain at `head_va` (descriptors only, no shaders).
+fn parse_chain(jm: &JobMem<ActiveAs>, head_va: u64) -> Result<Vec<JobHeader>, JobFault> {
+    let mut headers = Vec::new();
+    let mut va = head_va;
+    while va != 0 {
+        if headers.len() >= MAX_CHAIN_LEN {
+            return Err(JobFault::Malformed);
+        }
+        let bytes = jm.fetch(va, JOB_HEADER_SIZE)?;
+        let h = JobHeader::decode(&bytes).ok_or(JobFault::Malformed)?;
+        va = h.next_va;
+        headers.push(h);
+    }
+    Ok(headers)
 }
 
 /// The Mali-like device. One job slot (double-buffered), one address space.
@@ -99,7 +127,6 @@ pub struct MaliGpu {
 
     tlb: SoftTlb,
     scratch: ExecScratch,
-    cached_chain: Option<CachedChain>,
 }
 
 impl std::fmt::Debug for MaliGpu {
@@ -110,11 +137,6 @@ impl std::fmt::Debug for MaliGpu {
             .field("jobs_completed", &self.jobs_completed)
             .finish()
     }
-}
-
-enum ChainFault {
-    Mmu { va: u64, code: u32 },
-    BadJob,
 }
 
 impl MaliGpu {
@@ -167,7 +189,6 @@ impl MaliGpu {
             jobs_completed: 0,
             tlb: SoftTlb::new(),
             scratch: ExecScratch::new(),
-            cached_chain: None,
         }
     }
 
@@ -194,71 +215,17 @@ impl MaliGpu {
         }
     }
 
-    fn mmu_enabled(&self) -> bool {
-        self.transcfg_active & r::TRANSCFG_ENABLE != 0
-    }
-
-    /// Page-wise translation honoring this SKU's PTE format. Fetching
-    /// binaries additionally requires the exec permission; see
-    /// [`MaliGpu::fetch_binary`].
-    fn translate_page(&self, page_va: u64) -> Option<(u64, pgtable::PteFlags)> {
-        if !self.mmu_enabled() {
-            return None;
-        }
-        pgtable::translate(
-            &self.mem,
-            self.sku.pte_format,
-            self.transtab_active,
-            page_va,
+    /// The job-memory view under the active address space.
+    fn job_mem(&self) -> JobMem<ActiveAs> {
+        JobMem::new(
+            self.mem.clone(),
+            self.access.clone(),
+            ActiveAs {
+                fmt: self.sku.pte_format,
+                root: self.transtab_active,
+                enabled: self.transcfg_active & r::TRANSCFG_ENABLE != 0,
+            },
         )
-    }
-
-    fn fetch_binary(&self, va: u64, len: usize) -> Result<Vec<u8>, ChainFault> {
-        // Binaries (job headers, shader blobs) must come from pages mapped
-        // executable — this is the hardware behaviour behind the paper's
-        // §6.1 dump heuristic.
-        self.access.note_read(va, len as u64);
-        let mut out = vec![0u8; len];
-        let mut done = 0usize;
-        while done < len {
-            let cur = va + done as u64;
-            let page_va = cur & !(gr_soc::PAGE_SIZE as u64 - 1);
-            let (pa_page, flags) = self.translate_page(page_va).ok_or(ChainFault::Mmu {
-                va: cur,
-                code: r::AS_FAULT_TRANSLATION,
-            })?;
-            if !flags.exec {
-                return Err(ChainFault::Mmu {
-                    va: cur,
-                    code: r::AS_FAULT_PERMISSION,
-                });
-            }
-            let in_page = (gr_soc::PAGE_SIZE as u64 - (cur - page_va)) as usize;
-            let chunk = in_page.min(len - done);
-            self.mem
-                .read(pa_page + (cur - page_va), &mut out[done..done + chunk])
-                .map_err(|_| ChainFault::Mmu {
-                    va: cur,
-                    code: r::AS_FAULT_TRANSLATION,
-                })?;
-            done += chunk;
-        }
-        Ok(out)
-    }
-
-    fn parse_chain(&self, head_va: u64) -> Result<Vec<JobHeader>, ChainFault> {
-        let mut headers = Vec::new();
-        let mut va = head_va;
-        while va != 0 {
-            if headers.len() >= MAX_CHAIN_LEN {
-                return Err(ChainFault::BadJob);
-            }
-            let bytes = self.fetch_binary(va, JOB_HEADER_SIZE)?;
-            let h = JobHeader::decode(&bytes).ok_or(ChainFault::BadJob)?;
-            va = h.next_va;
-            headers.push(h);
-        }
-        Ok(headers)
     }
 
     fn chain_duration(&mut self, headers: &[JobHeader], affinity: u32) -> gr_sim::SimDuration {
@@ -286,6 +253,15 @@ impl MaliGpu {
         self.raise_job_fault();
     }
 
+    /// Maps a shared-executor fault to this family's registers.
+    fn raise(&mut self, fault: JobFault) {
+        match fault {
+            JobFault::Translation { va } => self.raise_mmu_fault(va, r::AS_FAULT_TRANSLATION),
+            JobFault::Permission { va } => self.raise_mmu_fault(va, r::AS_FAULT_PERMISSION),
+            JobFault::Malformed => self.raise_job_fault(),
+        }
+    }
+
     fn start_job(&mut self, head_va: u64, affinity: u32) {
         if !self.power_stable() {
             self.gpu_faultstatus = r::GPU_FAULT_POWER;
@@ -309,14 +285,10 @@ impl MaliGpu {
             self.raise_mmu_fault(0, r::AS_FAULT_BAD_CONFIG);
             return;
         }
-        let headers = match self.parse_chain(head_va) {
+        let headers = match parse_chain(&self.job_mem(), head_va) {
             Ok(h) => h,
-            Err(ChainFault::Mmu { va, code }) => {
-                self.raise_mmu_fault(va, code);
-                return;
-            }
-            Err(ChainFault::BadJob) => {
-                self.raise_job_fault();
+            Err(fault) => {
+                self.raise(fault);
                 return;
             }
         };
@@ -331,84 +303,19 @@ impl MaliGpu {
             self.raise_job_fault();
             return;
         }
-        // Fast path: fetch + decode every shader once at submit. Completion
-        // reuses the decoded ops instead of re-walking job memory. On any
-        // fetch/decode problem fall back to the completion-time path so
-        // fault timing is unchanged.
-        self.cached_chain = None;
-        if fastpath::enabled() {
-            let ops: Option<Vec<KernelOp>> = headers
-                .iter()
-                .map(|h| {
-                    let blob = self.fetch_binary(h.shader_va, h.shader_len as usize).ok()?;
-                    KernelOp::decode(&blob).ok()
-                })
-                .collect();
-            if let Some(ops) = ops {
-                self.cached_chain = Some(CachedChain { head_va, ops });
-            }
-        }
         self.running = Some(RunningJob { head_va, affinity });
         self.js_status = r::JS_STATUS_ACTIVE;
         let done_at = self.clock.now() + dur;
         self.events.schedule(done_at, Event::Job);
     }
 
-    fn execute_chain_now(&mut self, head_va: u64) -> Result<(), ChainFault> {
-        fn to_fault(e: ExecError) -> ChainFault {
-            match e {
-                ExecError::MemFault { va } => ChainFault::Mmu {
-                    va,
-                    code: r::AS_FAULT_TRANSLATION,
-                },
-                _ => ChainFault::BadJob,
-            }
-        }
-        let transtab = self.transtab_active;
-        let fmt = self.sku.pte_format;
-        let enabled = self.mmu_enabled();
-        let mem = self.mem.clone();
-        let translate = |page_va: u64| {
-            if !enabled {
-                return None;
-            }
-            pgtable::translate(&mem, fmt, transtab, page_va).map(|(pa, fl)| (pa, fl.write))
-        };
-        // Decoded ops cached at submit (one per sub-job). The cache is
-        // only populated when every blob decoded, so using it cannot skip
-        // a fetch/decode fault the slow path would have raised.
-        if let Some(c) = self.cached_chain.take() {
-            if c.head_va == head_va && fastpath::enabled() {
-                let mut vamem = TranslatingVaMem::with_tlb(&mem, translate, &mut self.tlb);
-                let mut vamem = crate::access::LoggingVaMem {
-                    inner: &mut vamem,
-                    log: &self.access,
-                };
-                for op in &c.ops {
-                    execute_with(op, &mut vamem, &mut self.scratch).map_err(to_fault)?;
-                }
-                return Ok(());
-            }
-        }
-        // Slow path: fetch/decode/execute one sub-job at a time, exactly
-        // like the pre-fast-path code, so partial execution and fault
-        // ordering for mixed-validity chains are unchanged.
-        let headers = self.parse_chain(head_va)?;
-        for h in headers {
-            let blob = self.fetch_binary(h.shader_va, h.shader_len as usize)?;
-            let op = KernelOp::decode(&blob).map_err(|_| ChainFault::BadJob)?;
-            let mut vamem = if fastpath::enabled() {
-                TranslatingVaMem::with_tlb(&mem, translate, &mut self.tlb)
-            } else {
-                TranslatingVaMem::legacy(&mem, translate)
-            };
-            let mut vamem = crate::access::LoggingVaMem {
-                inner: &mut vamem,
-                log: &self.access,
-            };
-            execute_with(&op, &mut vamem, &mut self.scratch).map_err(to_fault)?;
-        }
-        Ok(())
+    /// Runs the chain at completion time: the chain and its shaders are
+    /// read from memory as they are now, not as they were at submit.
+    fn execute_chain_now(&mut self, head_va: u64) -> Result<(), JobFault> {
+        let jm = self.job_mem();
+        let headers = parse_chain(&jm, head_va)?;
+        let shaders = headers.iter().map(|h| (h.shader_va, h.shader_len as usize));
+        jm.execute(shaders, &mut self.tlb, &mut self.scratch)
     }
 
     fn complete_job(&mut self) {
@@ -435,8 +342,7 @@ impl MaliGpu {
                     self.start_job(q.head_va, q.affinity);
                 }
             }
-            Err(ChainFault::Mmu { va, code }) => self.raise_mmu_fault(va, code),
-            Err(ChainFault::BadJob) => self.raise_job_fault(),
+            Err(fault) => self.raise(fault),
         }
     }
 
@@ -473,7 +379,6 @@ impl MaliGpu {
         // Reset invalidates every outstanding warm-residency mark, the
         // same way it invalidates cached translations.
         self.mem.bump_dirty_epoch();
-        self.cached_chain = None;
         self.resetting = true;
         self.update_irq_lines();
         self.events
@@ -579,12 +484,10 @@ impl GpuDev for MaliGpu {
             r::AS0_COMMAND if val == r::AS_CMD_UPDATE => {
                 self.transtab_active = self.transtab_staged;
                 self.transcfg_active = self.transcfg_staged;
-                // Address-space switch: cached translations and shaders
-                // decoded under the old translation are both stale, and so
-                // is any warm-residency mark taken under the old space.
+                // Address-space switch: cached translations are stale, and
+                // so is any warm-residency mark taken under the old space.
                 self.tlb.flush();
                 self.mem.bump_dirty_epoch();
-                self.cached_chain = None;
             }
             // AS_CMD_FLUSH: TLB shootdown, instantaneous in the model.
             // Issued on unmap, where the freed frames may be recycled —
@@ -592,7 +495,6 @@ impl GpuDev for MaliGpu {
             r::AS0_COMMAND if val == r::AS_CMD_FLUSH => {
                 self.tlb.flush();
                 self.mem.bump_dirty_epoch();
-                self.cached_chain = None;
             }
             r::JOB_IRQ_CLEAR => {
                 self.job_rawstat &= !val;
@@ -613,7 +515,6 @@ impl GpuDev for MaliGpu {
                     self.events.clear();
                     self.running = None;
                     self.queued = None;
-                    self.cached_chain = None;
                     self.js_status = r::JS_STATUS_IDLE;
                 }
                 _ => {}
@@ -691,9 +592,8 @@ impl GpuDev for MaliGpu {
                     }
                 }
                 // The corruption must be observed even if the translation
-                // (or the decoded job touching it) was already cached.
+                // was already cached.
                 self.tlb.invalidate_page(va);
-                self.cached_chain = None;
             }
         }
     }
@@ -909,6 +809,31 @@ mod tests {
     }
 
     #[test]
+    fn shader_rewritten_in_flight_runs_as_it_is_at_completion() {
+        let mut rg = rig(&MALI_G71);
+        vecadd_setup(&mut rg);
+        let g = &mut rg.gpu;
+        g.write32(r::JS0_HEAD_LO, CHAIN_VA as u32);
+        g.write32(r::JS0_AFFINITY, 0xFF);
+        g.write32(r::JS0_COMMAND, r::JS_CMD_START);
+        // Same op and fields, so the same length as the submitted blob.
+        let blob = KernelOp::EltwiseAdd {
+            a: DATA_VA + 12,
+            b: DATA_VA + 12,
+            out: DATA_VA + 24,
+            n: 3,
+            act: ActKind::None,
+        }
+        .encode();
+        poke(&rg, CHAIN_VA + 0x100, &blob);
+        let t = rg.gpu.next_event_time().expect("job scheduled");
+        rg.clock.advance_to(t);
+        rg.gpu.tick();
+        assert_eq!(rg.gpu.read32(r::JS0_STATUS), r::JS_STATUS_COMPLETED);
+        assert_eq!(peek_f32s(&rg, DATA_VA + 24, 3), vec![20.0, 40.0, 60.0]);
+    }
+
+    #[test]
     fn job_without_power_faults() {
         let clock = SimClock::new();
         let mem = SharedMem::new(PhysMem::new(0x8000_0000, 64 * PAGE_SIZE));
@@ -1111,7 +1036,7 @@ mod tests {
         let mut rg = rig(&MALI_G71);
         vecadd_setup(&mut rg);
         // Warm-up: one successful run caches DATA_VA's translation in the
-        // device TLB (and the decoded chain at the next submit).
+        // device TLB.
         let raw = submit_and_wait(&mut rg);
         assert_eq!(raw & r::JOB_IRQ_DONE0, r::JOB_IRQ_DONE0);
         rg.gpu.write32(r::JOB_IRQ_CLEAR, 0xFFFF_FFFF);

@@ -6,6 +6,11 @@
 //! cores the job's affinity actually engages, and the current PMC clock —
 //! plus multiplicative jitter, because real job delays vary run to run
 //! (§3.2's timing nondeterminism).
+//!
+//! Every constant below is modelled, not calibrated: it was chosen to give
+//! the device model plausible orders of magnitude for a mobile GPU, and no
+//! hardware or wall-clock measurement in this repository backs it. Each
+//! one drives virtual time only.
 
 use gr_sim::{SimDuration, SimRng};
 
@@ -32,25 +37,29 @@ impl std::ops::Add for JobCost {
     }
 }
 
-/// Fixed front-end cost of parsing and dispatching one job chain.
+/// Modelled, not calibrated: fixed front-end cost of parsing and
+/// dispatching one job chain.
 pub const JOB_DISPATCH_OVERHEAD: SimDuration = SimDuration::from_micros(18);
 
-/// Per-sub-job scheduling cost inside a chain.
+/// Modelled, not calibrated: per-sub-job scheduling cost inside a chain.
 pub const SUBJOB_OVERHEAD: SimDuration = SimDuration::from_micros(4);
 
-/// Default jitter (±percent) applied to job durations.
+/// Modelled, not calibrated: jitter (±percent) applied to job durations,
+/// the run-to-run variation §3.2 reports for real job delays.
 pub const JOB_JITTER_PCT: f64 = 2.0;
 
-/// Latency from job completion to the IRQ becoming visible to the CPU.
+/// Modelled, not calibrated: latency from job completion to the IRQ
+/// becoming visible to the CPU.
 pub const IRQ_LATENCY: SimDuration = SimDuration::from_micros(3);
 
-/// Cache-flush time (mean); polled by the driver until complete.
+/// Modelled, not calibrated: mean cache-flush time (jittered ±40% per
+/// flush); polled by the driver until complete.
 pub const CACHE_FLUSH_MEAN: SimDuration = SimDuration::from_micros(12);
 
-/// Soft-reset settle time.
+/// Modelled, not calibrated: soft-reset settle time.
 pub const SOFT_RESET_DELAY: SimDuration = SimDuration::from_micros(110);
 
-/// Shader-core power-up time.
+/// Modelled, not calibrated: shader-core power-up time.
 pub const CORE_POWERUP_DELAY: SimDuration = SimDuration::from_micros(55);
 
 /// Computes the execution time of a job with `cost`, running on

@@ -9,16 +9,14 @@ use gr_sim::{EventQueue, SimClock, SimDuration, SimRng, SimTime};
 use gr_soc::pmc::PmcDomain;
 use gr_soc::{IrqController, SharedMem, SharedPmc};
 
-use crate::device::{GpuDev, SoftTlb, TranslatingVaMem};
-use crate::fastpath;
+use crate::device::{GpuDev, JobFault, JobMem, PageMapping, PageWalk, SoftTlb};
 use crate::faults::FaultKind;
 use crate::sku::GpuSku;
 use crate::timing::{self, JobCost};
 use crate::v3d::cl::{self, ClPacket, MAX_BRANCH_DEPTH};
 use crate::v3d::pgtable;
 use crate::v3d::regs::{self as r, irq_lines};
-use crate::vm::bytecode::KernelOp;
-use crate::vm::exec::{execute_blob, execute_with, ExecError, ExecScratch};
+use crate::vm::exec::ExecScratch;
 
 /// Completion events on the device timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,17 +26,48 @@ enum Event {
     List,
 }
 
-enum ListFault {
-    Mmu { va: u64 },
-    BadList,
+/// The flat page table at `MMU_PT_BASE`, or nothing while `MMU_CTRL`
+/// disables the MMU. v3d has no exec bit: any valid mapping fetches.
+struct ActiveMmu {
+    table: u64,
+    enabled: bool,
 }
 
-/// Control list walked and shaders decoded at submit time, reused at
-/// completion instead of re-fetching the same (hardware-owned) memory.
-struct CachedList {
-    ca: u64,
-    ea: u64,
-    ops: Vec<KernelOp>,
+impl PageWalk for ActiveMmu {
+    fn walk(&self, mem: &SharedMem, page_va: u64) -> Option<PageMapping> {
+        if !self.enabled {
+            return None;
+        }
+        pgtable::translate(mem, self.table, page_va).map(|(pa, flags)| PageMapping {
+            pa,
+            write: flags.write,
+            exec: true,
+        })
+    }
+}
+
+/// Recursively collects every RUN_SHADER packet reachable from the list
+/// at `[va, va+len)`.
+fn collect_shaders(
+    jm: &JobMem<ActiveMmu>,
+    va: u64,
+    len: u32,
+    depth: usize,
+    out: &mut Vec<(u64, u32, JobCost)>,
+) -> Result<(), JobFault> {
+    if depth > MAX_BRANCH_DEPTH {
+        return Err(JobFault::Malformed);
+    }
+    let bytes = jm.fetch(va, len as usize)?;
+    let packets = cl::parse_list(&bytes).map_err(|_| JobFault::Malformed)?;
+    for p in packets {
+        match p {
+            ClPacket::RunShader { va, len, cost } => out.push((va, len, cost)),
+            ClPacket::Branch { va, len } => collect_shaders(jm, va, len, depth + 1, out)?,
+            ClPacket::Nop | ClPacket::Halt => {}
+        }
+    }
+    Ok(())
 }
 
 /// The v3d-like device.
@@ -73,7 +102,6 @@ pub struct V3dGpu {
 
     tlb: SoftTlb,
     scratch: ExecScratch,
-    cached_list: Option<CachedList>,
 }
 
 impl std::fmt::Debug for V3dGpu {
@@ -122,7 +150,6 @@ impl V3dGpu {
             jobs_completed: 0,
             tlb: SoftTlb::new(),
             scratch: ExecScratch::new(),
-            cached_list: None,
         }
     }
 
@@ -138,56 +165,24 @@ impl V3dGpu {
         }
     }
 
-    fn translate_page(&self, page_va: u64) -> Option<(u64, pgtable::V3dPteFlags)> {
-        if self.mmu_ctrl & 1 == 0 {
-            return None;
-        }
-        pgtable::translate(&self.mem, self.mmu_pt_base, page_va)
+    /// The job-memory view under the current MMU configuration.
+    fn job_mem(&self) -> JobMem<ActiveMmu> {
+        JobMem::new(
+            self.mem.clone(),
+            self.access.clone(),
+            ActiveMmu {
+                table: self.mmu_pt_base,
+                enabled: self.mmu_ctrl & 1 != 0,
+            },
+        )
     }
 
-    fn fetch(&self, va: u64, len: usize) -> Result<Vec<u8>, ListFault> {
-        self.access.note_read(va, len as u64);
-        let mut out = vec![0u8; len];
-        let mut done = 0usize;
-        while done < len {
-            let cur = va + done as u64;
-            let page = cur & !(gr_soc::PAGE_SIZE as u64 - 1);
-            let (pa, _) = self
-                .translate_page(page)
-                .ok_or(ListFault::Mmu { va: cur })?;
-            let chunk = ((gr_soc::PAGE_SIZE as u64 - (cur - page)) as usize).min(len - done);
-            self.mem
-                .read(pa + (cur - page), &mut out[done..done + chunk])
-                .map_err(|_| ListFault::Mmu { va: cur })?;
-            done += chunk;
-        }
-        Ok(out)
-    }
-
-    /// Recursively collects every RUN_SHADER packet reachable from the
-    /// list at `[va, va+len)`.
-    fn collect_shaders(
-        &self,
-        va: u64,
-        len: u32,
-        depth: usize,
-        out: &mut Vec<(u64, u32, JobCost)>,
-    ) -> Result<(), ListFault> {
-        if depth > MAX_BRANCH_DEPTH {
-            return Err(ListFault::BadList);
-        }
-        let bytes = self.fetch(va, len as usize)?;
-        let packets = cl::parse_list(&bytes).map_err(|_| ListFault::BadList)?;
-        for p in packets {
-            match p {
-                ClPacket::RunShader { va, len, cost } => out.push((va, len, cost)),
-                ClPacket::Branch { va, len } => {
-                    self.collect_shaders(va, len, depth + 1, out)?;
-                }
-                ClPacket::Nop | ClPacket::Halt => {}
-            }
-        }
-        Ok(())
+    /// The control list `[CT0CA, CT0EA)` as it is in memory now.
+    fn collect_list(&self, jm: &JobMem<ActiveMmu>) -> Result<Vec<(u64, u32, JobCost)>, JobFault> {
+        let len = self.ct0ea.saturating_sub(self.ct0ca) as u32;
+        let mut shaders = Vec::new();
+        collect_shaders(jm, self.ct0ca, len, 0, &mut shaders)?;
+        Ok(shaders)
     }
 
     fn raise_error(&mut self, err: u32) {
@@ -200,6 +195,14 @@ impl V3dGpu {
         self.mmu_addr = va as u32;
         self.int_sts |= r::INT_MMU_FAULT;
         self.raise_error(r::ERR_BAD_CL);
+    }
+
+    /// Maps a shared-executor fault to this family's registers.
+    fn raise(&mut self, fault: JobFault) {
+        match fault {
+            JobFault::Translation { va } | JobFault::Permission { va } => self.raise_mmu_fault(va),
+            JobFault::Malformed => self.raise_error(r::ERR_BAD_CL),
+        }
     }
 
     fn submit(&mut self) {
@@ -225,18 +228,13 @@ impl V3dGpu {
             self.raise_error(r::ERR_BAD_CL);
             return;
         }
-        let mut shaders = Vec::new();
-        match self.collect_shaders(self.ct0ca, len as u32, 0, &mut shaders) {
-            Ok(()) => {}
-            Err(ListFault::Mmu { va }) => {
-                self.raise_mmu_fault(va);
+        let shaders = match self.collect_list(&self.job_mem()) {
+            Ok(shaders) => shaders,
+            Err(fault) => {
+                self.raise(fault);
                 return;
             }
-            Err(ListFault::BadList) => {
-                self.raise_error(r::ERR_BAD_CL);
-                return;
-            }
-        }
+        };
         let total = shaders
             .iter()
             .fold(JobCost::default(), |acc, (_, _, c)| acc + *c);
@@ -247,26 +245,6 @@ impl V3dGpu {
             return;
         }
         let d = timing::jittered(d, &mut self.rng) + timing::IRQ_LATENCY;
-        // Fast path: decode every shader once at submit; completion reuses
-        // the decoded ops. Any fetch/decode problem falls back to the
-        // completion-time path so fault timing is unchanged.
-        self.cached_list = None;
-        if fastpath::enabled() {
-            let ops: Option<Vec<KernelOp>> = shaders
-                .iter()
-                .map(|&(va, len, _)| {
-                    let blob = self.fetch(va, len as usize).ok()?;
-                    KernelOp::decode(&blob).ok()
-                })
-                .collect();
-            if let Some(ops) = ops {
-                self.cached_list = Some(CachedList {
-                    ca: self.ct0ca,
-                    ea: self.ct0ea,
-                    ops,
-                });
-            }
-        }
         self.running = true;
         self.err_stat = r::ERR_NONE;
         self.events.schedule(self.clock.now() + d, Event::List);
@@ -284,113 +262,16 @@ impl V3dGpu {
             self.update_irq_line();
             return;
         }
-        // Decoded ops cached at submit (only populated when every blob
-        // decoded), or the slow per-shader path below.
-        let cached: Option<Vec<KernelOp>> = match self.cached_list.take() {
-            Some(c) if c.ca == self.ct0ca && c.ea == self.ct0ea && fastpath::enabled() => {
-                Some(c.ops)
-            }
-            _ => None,
-        };
-        let pt = self.mmu_pt_base;
-        let enabled = self.mmu_ctrl & 1 != 0;
-        let mem = self.mem.clone();
-        let translate = |page_va: u64| {
-            if !enabled {
-                return None;
-            }
-            pgtable::translate(&mem, pt, page_va).map(|(pa, fl)| (pa, fl.write))
-        };
-        if let Some(ops) = cached {
-            let mut failure = None;
-            {
-                let mut vamem = TranslatingVaMem::with_tlb(&mem, translate, &mut self.tlb);
-                let mut vamem = crate::access::LoggingVaMem {
-                    inner: &mut vamem,
-                    log: &self.access,
-                };
-                for op in &ops {
-                    match execute_with(op, &mut vamem, &mut self.scratch) {
-                        Ok(()) => {}
-                        Err(ExecError::MemFault { va }) => {
-                            failure = Some(Ok(va));
-                            break;
-                        }
-                        Err(_) => {
-                            failure = Some(Err(()));
-                            break;
-                        }
-                    }
-                }
-            }
-            match failure {
-                Some(Ok(va)) => {
-                    self.raise_mmu_fault(va);
-                    return;
-                }
-                Some(Err(())) => {
-                    self.raise_error(r::ERR_BAD_CL);
-                    return;
-                }
-                None => {}
-            }
-        } else {
-            // Slow path: re-collect, then fetch/decode/execute one shader
-            // at a time — identical partial-execution and fault ordering
-            // to the pre-fast-path code.
-            let len = self.ct0ea.saturating_sub(self.ct0ca) as u32;
-            let mut shaders = Vec::new();
-            match self.collect_shaders(self.ct0ca, len, 0, &mut shaders) {
-                Ok(()) => {}
-                Err(ListFault::Mmu { va }) => {
-                    self.raise_mmu_fault(va);
-                    return;
-                }
-                Err(ListFault::BadList) => {
-                    self.raise_error(r::ERR_BAD_CL);
-                    return;
-                }
-            }
-            for (va, len, _cost) in shaders {
-                let blob = match self.fetch(va, len as usize) {
-                    Ok(b) => b,
-                    Err(ListFault::Mmu { va }) => {
-                        self.raise_mmu_fault(va);
-                        return;
-                    }
-                    Err(ListFault::BadList) => {
-                        self.raise_error(r::ERR_BAD_CL);
-                        return;
-                    }
-                };
-                let failure = {
-                    let mut vamem = if fastpath::enabled() {
-                        TranslatingVaMem::with_tlb(&mem, translate, &mut self.tlb)
-                    } else {
-                        TranslatingVaMem::legacy(&mem, translate)
-                    };
-                    let mut vamem = crate::access::LoggingVaMem {
-                        inner: &mut vamem,
-                        log: &self.access,
-                    };
-                    match execute_blob(&blob, &mut vamem) {
-                        Ok(()) => None,
-                        Err(ExecError::MemFault { va }) => Some(Ok(va)),
-                        Err(_) => Some(Err(())),
-                    }
-                };
-                match failure {
-                    Some(Ok(va)) => {
-                        self.raise_mmu_fault(va);
-                        return;
-                    }
-                    Some(Err(())) => {
-                        self.raise_error(r::ERR_BAD_CL);
-                        return;
-                    }
-                    None => {}
-                }
-            }
+        // The list and its shaders are read from memory as they are now,
+        // not as they were at submit.
+        let jm = self.job_mem();
+        let result = self.collect_list(&jm).and_then(|shaders| {
+            let shaders = shaders.iter().map(|&(va, len, _)| (va, len as usize));
+            jm.execute(shaders, &mut self.tlb, &mut self.scratch)
+        });
+        if let Err(fault) = result {
+            self.raise(fault);
+            return;
         }
         self.jobs_completed += 1;
         self.ct0ca = self.ct0ea; // CA advances to EA on completion
@@ -414,7 +295,6 @@ impl V3dGpu {
         self.tlb.flush();
         // Reset invalidates warm-residency marks like cached translations.
         self.mem.bump_dirty_epoch();
-        self.cached_list = None;
         self.update_irq_line();
         self.events
             .schedule(self.clock.now() + timing::SOFT_RESET_DELAY, Event::Reset);
@@ -477,24 +357,20 @@ impl GpuDev for V3dGpu {
                 self.mmu_pt_base = (self.mmu_pt_base & !0xFFFF_FFFF) | u64::from(val);
                 self.tlb.flush();
                 self.mem.bump_dirty_epoch();
-                self.cached_list = None;
             }
             r::MMU_PT_BASE_HI => {
                 self.mmu_pt_base = (self.mmu_pt_base & 0xFFFF_FFFF) | (u64::from(val) << 32);
                 self.tlb.flush();
                 self.mem.bump_dirty_epoch();
-                self.cached_list = None;
             }
             r::MMU_CTRL => {
                 // Enable/disable or reconfigure acts as a TLB shootdown;
-                // shaders decoded under the old translation are stale too,
-                // as are warm-residency marks taken under the old config.
-                // The TLB_CLEAR command bit is self-clearing: it forces the
-                // flush but is never stored.
+                // warm-residency marks taken under the old config are stale
+                // too. The TLB_CLEAR command bit is self-clearing: it forces
+                // the flush but is never stored.
                 self.mmu_ctrl = val & !r::MMU_CTRL_TLB_CLEAR;
                 self.tlb.flush();
                 self.mem.bump_dirty_epoch();
-                self.cached_list = None;
             }
             r::CTL_RESET if val & 1 != 0 => {
                 if self.power_stable() {
@@ -548,9 +424,8 @@ impl GpuDev for V3dGpu {
                     }
                 }
                 // The corruption must be observed even if the translation
-                // (or the decoded list touching it) was already cached.
+                // was already cached.
                 self.tlb.invalidate_page(va);
-                self.cached_list = None;
             }
         }
     }
@@ -719,6 +594,41 @@ mod tests {
         assert_eq!(rg.gpu.jobs_completed(), 1);
         rg.gpu.write32(r::INT_CLR, r::INT_DONE);
         assert!(!rg.irq.pending(irq_lines::V3D));
+    }
+
+    #[test]
+    fn shader_rewritten_in_flight_runs_as_it_is_at_completion() {
+        let mut rg = rig();
+        map(&mut rg, CL_VA, 1);
+        map(&mut rg, SH_VA, 1);
+        map(&mut rg, DATA_VA, 1);
+        let data: Vec<u8> = [1.0f32, 2.0, 3.0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        poke(&rg, DATA_VA, &data);
+        let scale = |alpha| KernelOp::Scale {
+            a: DATA_VA,
+            out: DATA_VA + 256,
+            n: 3,
+            alpha,
+        };
+        let blob = scale(3.0).encode();
+        poke(&rg, SH_VA, &blob);
+        let mut w = ClWriter::new();
+        w.run_shader(SH_VA, blob.len() as u32, JobCost::default());
+        let cl = w.finish();
+        poke(&rg, CL_VA, &cl);
+        rg.gpu.write32(r::CT0CA_LO, CL_VA as u32);
+        rg.gpu
+            .write32(r::CT0EA_LO, (CL_VA as usize + cl.len()) as u32);
+        // Same op, same length: only alpha changes.
+        poke(&rg, SH_VA, &scale(5.0).encode());
+        let t = rg.gpu.next_event_time().expect("list scheduled");
+        rg.clock.advance_to(t);
+        rg.gpu.tick();
+        assert_eq!(rg.gpu.read32(r::INT_STS) & r::INT_DONE, r::INT_DONE);
+        assert_eq!(peek_f32s(&rg, DATA_VA + 256, 3), vec![5.0, 10.0, 15.0]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! changes values or f32 accumulation order: the kernels in
 //! [`super::kernels`] see exactly the slices they saw before (gated by
 //! `val72_correctness`). The weight operand of `MatMul` and
-//! `FullyConnected` is not staged at all on the fast path: it streams
-//! from DRAM through [`VaMem::read_runs`] into [`k::Gemm`].
+//! `FullyConnected` is not staged at all when its VA is 4-byte aligned:
+//! it streams from DRAM through [`VaMem::read_runs`] into [`k::Gemm`].
 //!
 //! Every element count derived from recorded dimensions is computed in
 //! `usize` with checked arithmetic: a product that overflows is
@@ -174,11 +174,11 @@ fn elems(dims: &[u32]) -> Result<usize, ExecError> {
         .ok_or_else(|| ExecError::BadParams(format!("element count {dims:?} overflows")))
 }
 
-/// `act(x[m×k] · W[k×n] + bias)` for `MatMul` and `FullyConnected`. On
-/// the fast path the weights stream from DRAM runs into [`k::Gemm`]; with
-/// the fast path off, or a weight VA that is not 4-byte aligned (its runs
-/// would split f32s), they are staged and run through the reference
-/// kernel. Loads happen in op order (x, weights, bias) either way.
+/// `act(x[m×k] · W[k×n] + bias)` for `MatMul` and `FullyConnected`. The
+/// weights stream from DRAM runs into [`k::Gemm`]; a weight VA that is not
+/// 4-byte aligned (its runs would split f32s) is staged instead and run
+/// through [`k::fully_connected`]. Loads happen in op order (x, weights,
+/// bias) either way.
 #[allow(clippy::too_many_arguments)]
 fn gemm<M: VaMem + ?Sized>(
     mem: &mut M,
@@ -195,7 +195,7 @@ fn gemm<M: VaMem + ?Sized>(
     elems(&[m, n])?;
     load(mem, x, mk, &mut scratch.a)?;
     let (m, kk, n) = (m as usize, kk as usize, n as usize);
-    if crate::fastpath::enabled() && w % 4 == 0 {
+    if w % 4 == 0 {
         let mut acc = k::Gemm::new(&scratch.a, m, kk, n);
         mem.read_runs(w, kn * 4, &mut |run| acc.feed(run))
             .map_err(|va| ExecError::MemFault { va })?;

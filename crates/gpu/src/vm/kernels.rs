@@ -7,10 +7,11 @@
 //! [`conv2d_oc_inner`] (output channel innermost), whichever keeps more
 //! independent accumulators. Speed never buys a changed bit: every output
 //! element adds its terms in the order of the reference nests
-//! ([`matmul`], [`fully_connected`], [`conv2d_reference`]), so the §7.2
-//! validation can compare replayed outputs against the CPU reference
-//! executor exactly. The reference nests stay as the `fastpath`-off
-//! baseline and as the oracle of the differential tests.
+//! ([`fully_connected`], and the test-only `conv2d_reference`), so the
+//! §7.2 validation can compare replayed outputs against the CPU reference
+//! executor exactly. `matmul`, `conv2d_reference` and `im2col_reference`
+//! compile only under `cfg(test)`, as the oracles of the differential
+//! tests.
 
 use super::bytecode::{ActKind, PoolKind};
 
@@ -70,35 +71,20 @@ pub fn out_dim(input: u32, kernel: u32, stride: u32, pad: u32) -> u32 {
     u32::try_from((padded - u64::from(kernel)) / u64::from(stride) + 1).unwrap_or(0)
 }
 
-/// Dense GEMM: `out[m×n] = a[m×k] · b[k×n]`.
+/// Dense GEMM: `out[m×n] = a[m×k] · b[k×n]` (test oracle).
+#[cfg(test)]
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "lhs size");
-    assert_eq!(b.len(), k * n, "rhs size");
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for p in 0..k {
-            let av = a[i * k + p];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    out
+    fully_connected(a, b, None, m, k, n, ActKind::None)
 }
 
 /// Streaming GEMM: accumulates `a[m×k] · b[k×n]` while `b` arrives as
 /// little-endian byte runs in row-major order, so a weight matrix is
 /// consumed straight from DRAM without being staged first.
 ///
-/// Bit-exactness against [`matmul`]: the loops run `p` outer and `i`
-/// inner, so every `out[i][j]` still adds its terms in ascending `p`,
-/// starting from `0.0`, and skips exactly the terms whose `a[i][p]` is
-/// `0.0` (that skip is part of the numerics: `0·∞` would be NaN). Only
+/// Bit-exactness against [`fully_connected`]: the loops run `p` outer
+/// and `i` inner, so every `out[i][j]` still adds its terms in ascending
+/// `p`, starting from `0.0`, and skips exactly the terms whose `a[i][p]`
+/// is `0.0` (that skip is part of the numerics: `0·∞` would be NaN). Only
 /// the interleaving across different outputs changes, which f32 cannot
 /// observe.
 pub struct Gemm<'a> {
@@ -160,7 +146,7 @@ impl<'a> Gemm<'a> {
 
     /// Finishes the product as [`fully_connected`] does: adds `bias` to
     /// every row, then applies `act`. `(None, ActKind::None)` yields the
-    /// plain [`matmul`] result.
+    /// plain product.
     ///
     /// # Panics
     ///
@@ -186,7 +172,9 @@ impl<'a> Gemm<'a> {
     }
 }
 
-/// Fully connected: `act(x[m×k] · w[k×n] + bias[n])`.
+/// Fully connected: `act(x[m×k] · w[k×n] + bias[n])`. Each output adds
+/// its terms in ascending `k`, from `0.0`, skipping terms whose `x` is
+/// exactly `0.0`: this is the reference order [`Gemm`] reproduces.
 pub fn fully_connected(
     x: &[f32],
     w: &[f32],
@@ -196,7 +184,22 @@ pub fn fully_connected(
     n: usize,
     act: ActKind,
 ) -> Vec<f32> {
-    let mut out = matmul(x, w, m, k, n);
+    assert_eq!(x.len(), m * k, "lhs size");
+    assert_eq!(w.len(), k * n, "rhs size");
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for p in 0..k {
+            let xv = x[i * k + p];
+            if xv == 0.0 {
+                continue;
+            }
+            let wrow = &w[p * n..(p + 1) * n];
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (o, &wv) in orow.iter_mut().zip(wrow) {
+                *o += xv * wv;
+            }
+        }
+    }
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "bias size");
         // `max(1)`: with `n == 0` there are no rows, and no chunk size 0.
@@ -216,13 +219,12 @@ pub fn fully_connected(
 ///
 /// Weights are laid out `cout × (cin/groups) × kh × kw`.
 ///
-/// With [`crate::fastpath`] on, dispatches to whichever restructured loop
-/// nest keeps more independent accumulators in its inner loop:
-/// [`conv2d_fast`] has one per output column (`wo`), [`conv2d_oc_inner`]
-/// one per output channel of the group (`cout / groups`); ties go to
-/// `conv2d_fast`. With the fast path off it runs [`conv2d_reference`].
-/// All three accumulate every output element in the identical
-/// `(icg, ky, kx)` order, so replayed outputs stay bit-stable either way.
+/// Dispatches to whichever loop nest keeps more independent accumulators
+/// in its inner loop: [`conv2d_fast`] has one per output column (`wo`),
+/// [`conv2d_oc_inner`] one per output channel of the group
+/// (`cout / groups`); ties go to `conv2d_fast`. Both accumulate every
+/// output element in the `(icg, ky, kx)` order of the test-only
+/// `conv2d_reference`, so replayed outputs are bit-stable.
 ///
 /// # Panics
 ///
@@ -244,11 +246,6 @@ pub fn conv2d(
     groups: usize,
     act: ActKind,
 ) -> Vec<f32> {
-    if !crate::fastpath::enabled() {
-        return conv2d_reference(
-            x, w, bias, cin, h, wd, cout, kh, kw, stride, pad, groups, act,
-        );
-    }
     let wo = out_dim(wd as u32, kw as u32, stride as u32, pad as u32) as usize;
     if cout.checked_div(groups).is_some_and(|coutg| coutg > wo) {
         conv2d_oc_inner(
@@ -261,7 +258,8 @@ pub fn conv2d(
     }
 }
 
-/// The original per-output-pixel loop nest (the pre-fast-path baseline).
+/// The per-output-pixel loop nest (test oracle for the two above).
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_reference(
     x: &[f32],
@@ -629,32 +627,11 @@ pub fn batchnorm_inf(x: &[f32], scale: &[f32], shift: &[f32], c: usize, hw: usiz
 
 /// ACL-style im2col producing a `(ho*wo) × (cin*kh*kw)` patch matrix.
 ///
-/// Pure data movement (no float arithmetic), so the fast variant below is
-/// trivially value-identical; the reference loop is kept as the measured
-/// pre-fast-path baseline.
+/// Each contiguous run of valid taps is one `copy_from_slice`; the zero
+/// padding is already in place from the allocation. Pure data movement,
+/// value-identical to the test-only per-tap `im2col_reference`.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col(
-    x: &[f32],
-    cin: usize,
-    h: usize,
-    wd: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> Vec<f32> {
-    if crate::fastpath::enabled() {
-        im2col_fast(x, cin, h, wd, kh, kw, stride, pad)
-    } else {
-        im2col_reference(x, cin, h, wd, kh, kw, stride, pad)
-    }
-}
-
-/// Slice-copy im2col: each contiguous run of valid taps is one
-/// `copy_from_slice`; the zero padding is already in place from the
-/// allocation. Value-identical to [`im2col_reference`].
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_fast(
     x: &[f32],
     cin: usize,
     h: usize,
@@ -695,7 +672,8 @@ pub fn im2col_fast(
     out
 }
 
-/// The original per-tap im2col loop (the pre-fast-path baseline).
+/// The per-tap im2col loop (test oracle for [`im2col`]).
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 pub fn im2col_reference(
     x: &[f32],
@@ -1210,7 +1188,7 @@ mod tests {
             let x: Vec<f32> = (0..cin * h * wd)
                 .map(|v| ((v as f32) * 0.913).sin())
                 .collect();
-            let fast = im2col_fast(&x, cin, h, wd, kh, kw, stride, pad);
+            let fast = im2col(&x, cin, h, wd, kh, kw, stride, pad);
             let slow = im2col_reference(&x, cin, h, wd, kh, kw, stride, pad);
             assert_eq!(
                 fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -162,20 +162,12 @@ impl VaSpace {
     }
 
     /// CPU-side write into a mapped region (the runtime's mmap view).
-    /// With the fast path on, holds the DRAM lock once across the whole
-    /// tensor transfer; otherwise re-locks per chunk like the pre-fast-path
-    /// code (the measured `bench_exec` baseline).
+    /// Holds the DRAM lock once across the whole tensor transfer.
     ///
     /// # Errors
     ///
     /// Returns [`DriverError::BadAddress`] when the range is unmapped.
     pub fn cpu_write(&self, mem: &SharedMem, va: u64, data: &[u8]) -> Result<(), DriverError> {
-        if !gr_gpu::fastpath::enabled() {
-            return self.cpu_access(va, data.len(), |pa, off, chunk| {
-                mem.write(pa, &data[off..off + chunk])
-                    .map_err(|_| DriverError::BadAddress(va))
-            });
-        }
         let mut g = mem.write_guard();
         self.cpu_access(va, data.len(), |pa, off, chunk| {
             g.write(pa, &data[off..off + chunk])
@@ -184,24 +176,13 @@ impl VaSpace {
     }
 
     /// CPU-side read from a mapped region. Lock-amortized like
-    /// [`VaSpace::cpu_write`]; the pre-fast-path baseline stages through a
-    /// scratch vector (so `out` stays untouched on error) and re-locks per
-    /// chunk.
+    /// [`VaSpace::cpu_write`].
     ///
     /// # Errors
     ///
     /// Returns [`DriverError::BadAddress`] when the range is unmapped.
     pub fn cpu_read(&self, mem: &SharedMem, va: u64, out: &mut [u8]) -> Result<(), DriverError> {
         let len = out.len();
-        if !gr_gpu::fastpath::enabled() {
-            let mut buf = vec![0u8; len];
-            self.cpu_access(va, len, |pa, off, chunk| {
-                mem.read(pa, &mut buf[off..off + chunk])
-                    .map_err(|_| DriverError::BadAddress(va))
-            })?;
-            out.copy_from_slice(&buf);
-            return Ok(());
-        }
         let g = mem.read_guard();
         self.cpu_access(va, len, |pa, off, chunk| {
             g.read(pa, &mut out[off..off + chunk])
