@@ -52,7 +52,8 @@ pub const STORAGE_BW: f64 = 120e6;
 /// cold_start --trace 1`: checksum, parse and GRZ decode on a shared
 /// 2-vCPU x86-64 host) measured 168–256 MB/s with the byte-at-a-time
 /// checksum and decoder, and 802–935 MB/s with the word-wise checksum and
-/// bulk decoder.
+/// bulk decoder. The 6.51 MB version-3 container, which stores AlexNet's
+/// incompressible weights raw, measured about 3,000 MB/s.
 pub const DECOMPRESS_BW: f64 = 300e6;
 
 /// Modelled, not calibrated: copying dumps and inputs into GPU memory

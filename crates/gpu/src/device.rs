@@ -230,17 +230,6 @@ where
         Ok(())
     }
 
-    /// Reads `out.len()` bytes at `va` without allocating.
-    fn read_into(&mut self, va: u64, out: &mut [u8]) -> Result<(), u64> {
-        self.plan(va, out.len(), false)?;
-        let g = self.mem.read_guard();
-        for s in &self.segs {
-            g.read(s.pa, &mut out[s.off..s.off + s.len])
-                .map_err(|_| va + s.off as u64)?;
-        }
-        Ok(())
-    }
-
     /// Writes `data` at `va` without allocating.
     fn write_from(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
         self.plan(va, data.len(), true)?;
@@ -258,8 +247,15 @@ where
     F: FnMut(u64) -> Option<(u64, bool)>,
 {
     fn read_bytes(&mut self, va: u64, len: usize) -> Result<Vec<u8>, u64> {
+        // `len` comes from a kernel op: translate the whole range before
+        // allocating for it, so an unmapped claim faults without a buffer.
+        self.plan(va, len, false)?;
         let mut out = vec![0u8; len];
-        self.read_into(va, &mut out)?;
+        let g = self.mem.read_guard();
+        for s in &self.segs {
+            g.read(s.pa, &mut out[s.off..s.off + s.len])
+                .map_err(|_| va + s.off as u64)?;
+        }
         Ok(out)
     }
 

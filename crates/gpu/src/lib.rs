@@ -43,3 +43,8 @@ pub use faults::FaultKind;
 pub use machine::{Machine, WaitOutcome, DEFAULT_DRAM_SIZE, DRAM_BASE};
 pub use sku::{GpuFamilyKind, GpuSku, PteFormat};
 pub use timing::JobCost;
+
+// Lets tests prove that hostile lengths fault before they are allocated.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: gr_testalloc::Tracking = gr_testalloc::Tracking;

@@ -164,6 +164,9 @@ fn store<M: VaMem + ?Sized>(mem: &mut M, va: u64, vals: &[f32]) -> Result<(), Ex
         .map_err(|va| ExecError::MemFault { va })
 }
 
+/// Most f32s a `Fill` stages per store (64 KiB).
+const FILL_CHUNK: usize = 16 * 1024;
+
 /// Element count `dims[0] · dims[1] · …` in `usize`. Recorded dimensions
 /// are untrusted: a product whose byte size does not fit in `usize` is
 /// [`ExecError::BadParams`], not a wrapped count.
@@ -253,9 +256,16 @@ pub fn execute_with<M: VaMem + ?Sized>(
     use KernelOp::*;
     match *op {
         Fill { out, n, value } => {
+            // `n` is untrusted: stage at most one chunk, and let each
+            // chunk's store translate its range before the next is written.
+            let n = elems(&[n])?;
             scratch.a.clear();
-            scratch.a.resize(elems(&[n])?, value);
-            store(mem, out, &scratch.a)
+            scratch.a.resize(n.min(FILL_CHUNK), value);
+            for start in (0..n).step_by(FILL_CHUNK) {
+                let len = FILL_CHUNK.min(n - start);
+                store(mem, out + 4 * start as u64, &scratch.a[..len])?;
+            }
+            Ok(())
         }
         CopyBytes { src, dst, len } => {
             let b = mem
@@ -1131,5 +1141,35 @@ mod tests {
             execute(&conv(u32::MAX, u32::MAX, u32::MAX), &mut hostile_mem()),
             Err(ExecError::BadParams(_))
         ));
+    }
+
+    #[test]
+    fn hostile_lengths_fault_before_allocating() {
+        // One writable page at VA 0x10000; every other page is unmapped.
+        let mem = gr_soc::SharedMem::new(gr_soc::PhysMem::new(0, 4 * PG as usize));
+        let one_page = |page_va: u64| (page_va == 0x1_0000).then_some((PG, true));
+        let ops = [
+            KernelOp::Fill {
+                out: 0x1_0000,
+                n: u32::MAX,
+                value: 1.5,
+            },
+            KernelOp::CopyBytes {
+                src: 0x1_0000,
+                dst: 0x1_0000,
+                len: u32::MAX,
+            },
+        ];
+        for op in ops {
+            let mut vm = crate::device::TranslatingVaMem::new(&mem, one_page);
+            gr_testalloc::reset();
+            assert_eq!(
+                execute(&op, &mut vm),
+                Err(ExecError::MemFault { va: 0x1_1000 }),
+                "{op:?}"
+            );
+            let peak = gr_testalloc::largest();
+            assert!(peak < 1 << 20, "{op:?} allocated {peak} bytes");
+        }
     }
 }

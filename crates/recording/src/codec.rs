@@ -354,32 +354,6 @@ mod tests {
         z
     }
 
-    std::thread_local! {
-        static LARGEST_ALLOC: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
-    /// Records the largest allocation each thread requests, so a test can
-    /// prove a hostile header was refused before its length was allocated.
-    struct Tracking;
-
-    // SAFETY: forwards every call unchanged to the system allocator.
-    unsafe impl std::alloc::GlobalAlloc for Tracking {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(layout.size())));
-            std::alloc::System.alloc(layout)
-        }
-        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-            let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(layout.size())));
-            std::alloc::System.alloc_zeroed(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-            std::alloc::System.dealloc(ptr, layout);
-        }
-    }
-
-    #[global_allocator]
-    static ALLOC: Tracking = Tracking;
-
     #[test]
     fn empty_and_tiny() {
         roundtrip(b"");
@@ -490,9 +464,9 @@ mod tests {
         let mut z = MAGIC.to_vec();
         z.extend_from_slice(&u32::MAX.to_le_bytes());
         z.extend_from_slice(b"\x00abc");
-        LARGEST_ALLOC.with(|m| m.set(0));
+        gr_testalloc::reset();
         assert_eq!(grz_decompress(&z), Err(GrzError::Truncated));
-        assert_eq!(LARGEST_ALLOC.with(std::cell::Cell::get), 0);
+        assert_eq!(gr_testalloc::largest(), 0);
         assert_eq!(grz_len(&z), Err(GrzError::Truncated));
         // The densest group (a flag and eight maximal matches) sits exactly
         // on the bound, and a dense real stream passes it and decodes.

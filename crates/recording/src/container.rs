@@ -1,30 +1,42 @@
 //! The on-disk recording container.
 //!
 //! Layout: magic `GREC`, format version, a 64-bit checksum of the payload,
-//! then the payload: metadata, actions, I/O slots, and the GRZ-compressed
-//! dump section. [`Recording::to_bytes`]/[`Recording::from_bytes`] are the
-//! only (de)serialization paths; the replayer's verifier re-checks the
+//! then the payload: metadata, actions, I/O slots, and the dump section.
+//! [`Recording::to_bytes`]/[`Recording::from_bytes`] are the only
+//! (de)serialization paths; the replayer's verifier re-checks the
 //! checksum and every structural invariant on load.
 //!
-//! **Checksum (version 2).** Word-wise FNV-1a: the payload is read as
+//! **Dumps (version 3).** A `u32` count, then one record per dump: `va`
+//! (`u64`), `len` (`u32`), a coding byte and a length-prefixed body. Coding
+//! 0 stores the dump's bytes as they are; coding 1 is a GRZ stream. The
+//! writer uses GRZ only when the stream is strictly smaller than the dump,
+//! like zlib's stored-block fallback, so incompressible weights cost a copy
+//! on load and never grow the container. Every length is untrusted: a
+//! stored body must be exactly `len` bytes, and a GRZ body's claimed length
+//! must equal `len` before anything is allocated for it. Each body decodes
+//! straight into its own dump's buffer.
+//!
+//! **Checksum.** Word-wise FNV-1a: the payload is read as
 //! little-endian `u64` words dealt round-robin to four independent lanes,
 //! each updated as `h = (h ^ word) * FNV_PRIME`; the lanes, the zero-padded
 //! tail bytes and the payload length are then folded into one state the
 //! same way. Both steps are bijections of the state (xor with a fixed word,
 //! multiplication by an odd constant mod 2^64), so any change confined to
 //! one aligned 8-byte word — in particular any single-bit or single-byte
-//! flip — always changes the checksum. That is the guarantee byte-wise
-//! FNV-1a gave in version 1, at memory speed instead of one byte per
-//! multiply. It is an integrity check, not a MAC: an adversary who can
-//! rewrite the container can recompute it. Version-1 containers are
-//! rejected with [`ContainerError::BadVersion`].
+//! flip — always changes the checksum. It is an integrity check, not a MAC:
+//! an adversary who can rewrite the container can recompute it. Containers
+//! of an earlier version are rejected with [`ContainerError::BadVersion`].
 
 use crate::action::{Action, TimedAction};
 use crate::codec::{grz_compress, grz_decompress, grz_len, GrzError};
 use crate::meta::{Dump, IoSlot, RecordingMeta};
 
 const MAGIC: &[u8; 4] = b"GREC";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
+/// Dump body coding: the dump's bytes, stored as they are.
+const STORED: u8 = 0;
+/// Dump body coding: a GRZ stream.
+const GRZ: u8 = 1;
 
 /// A complete recording: everything needed to reproduce a fixed sequence
 /// of GPU jobs on new input.
@@ -51,11 +63,14 @@ pub enum ContainerError {
     BadVersion(u32),
     /// Payload checksum mismatch (corrupt or tampered recording).
     ChecksumMismatch,
-    /// Payload ended mid-field.
+    /// Payload ended mid-field, or a dump body does not hold exactly the
+    /// length its record claims.
     Truncated,
     /// Unknown action tag.
     BadAction(u8),
-    /// Dump section failed to decompress.
+    /// Unknown dump body coding.
+    BadCoding(u8),
+    /// A GRZ dump body failed to decompress.
     Dump(GrzError),
     /// A string field was not valid UTF-8.
     BadString,
@@ -69,6 +84,7 @@ impl std::fmt::Display for ContainerError {
             ContainerError::ChecksumMismatch => write!(f, "recording checksum mismatch"),
             ContainerError::Truncated => write!(f, "recording truncated"),
             ContainerError::BadAction(t) => write!(f, "unknown action tag {t}"),
+            ContainerError::BadCoding(c) => write!(f, "unknown dump coding {c}"),
             ContainerError::Dump(e) => write!(f, "dump section: {e}"),
             ContainerError::BadString => write!(f, "invalid utf-8 in recording"),
         }
@@ -201,7 +217,8 @@ impl Recording {
         self.dumps.iter().map(|d| d.bytes.len()).sum()
     }
 
-    /// Serializes to the container format (dumps GRZ-compressed).
+    /// Serializes to the container format (each dump stored or
+    /// GRZ-compressed, whichever is smaller).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut p = W::default();
         // Metadata.
@@ -272,15 +289,20 @@ impl Recording {
                 p.u32(s.len);
             }
         }
-        // Dumps: VAs+lengths in the clear, payload compressed as one blob.
+        // Dumps: each GRZ-coded only when that makes it strictly smaller.
         p.u32(self.dumps.len() as u32);
-        let mut payload = Vec::new();
         for d in &self.dumps {
             p.u64(d.va);
             p.u32(d.bytes.len() as u32);
-            payload.extend_from_slice(&d.bytes);
+            let z = grz_compress(&d.bytes);
+            if z.len() < d.bytes.len() {
+                p.u8(GRZ);
+                p.bytes(&z);
+            } else {
+                p.u8(STORED);
+                p.bytes(&d.bytes);
+            }
         }
-        p.bytes(&grz_compress(&payload));
 
         let mut out = Vec::with_capacity(p.buf.len() + 20);
         out.extend_from_slice(MAGIC);
@@ -387,30 +409,21 @@ impl Recording {
         }
 
         let n_dumps = r.u32()? as usize;
-        let mut headers = Vec::with_capacity(n_dumps.min(1 << 16));
+        let mut dumps = Vec::with_capacity(n_dumps.min(1 << 16));
         for _ in 0..n_dumps {
-            headers.push((r.u64()?, r.u32()? as usize));
-        }
-        let blob_len = r.u32()? as usize;
-        let blob = r.take(blob_len)?;
-        // The dump headers must account for exactly the stream's claimed
-        // length, checked before the decoder allocates it.
-        let total = headers
-            .iter()
-            .try_fold(0usize, |t, (_, l)| t.checked_add(*l))
-            .ok_or(ContainerError::Truncated)?;
-        if total != grz_len(blob)? {
-            return Err(ContainerError::Truncated);
-        }
-        let payload = grz_decompress(blob)?;
-        let mut dumps = Vec::with_capacity(headers.len());
-        let mut off = 0usize;
-        for (va, len) in headers {
-            dumps.push(Dump {
-                va,
-                bytes: payload[off..off + len].to_vec(),
-            });
-            off += len;
+            let va = r.u64()?;
+            let len = r.u32()? as usize;
+            let coding = r.u8()?;
+            let body_len = r.u32()? as usize;
+            let body = r.take(body_len)?;
+            let bytes = match coding {
+                STORED if body.len() == len => body.to_vec(),
+                // The claim is bounded by the body before it is allocated.
+                GRZ if grz_len(body)? == len => grz_decompress(body)?,
+                STORED | GRZ => return Err(ContainerError::Truncated),
+                other => return Err(ContainerError::BadCoding(other)),
+            };
+            dumps.push(Dump { va, bytes });
         }
 
         Ok(Recording {
@@ -531,21 +544,173 @@ mod tests {
         );
     }
 
+    /// Bytes of a dump record before its body: `va`, `len`, coding and
+    /// body length.
+    const DUMP_HEADER: usize = 8 + 4 + 1 + 4;
+
+    /// Deterministic incompressible bytes.
+    fn noise(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// Offset in `bytes` (`rec.to_bytes()`) of each dump record's `va`.
+    /// The dump section is last, so it starts where the same recording
+    /// without dumps ends.
+    fn dump_records(rec: &Recording, bytes: &[u8]) -> Vec<usize> {
+        let no_dumps = Recording {
+            dumps: Vec::new(),
+            ..rec.clone()
+        };
+        let mut at = no_dumps.to_bytes().len();
+        let mut records = Vec::new();
+        for _ in &rec.dumps {
+            records.push(at);
+            let body = u32::from_le_bytes(bytes[at + 13..at + 17].try_into().unwrap());
+            at += DUMP_HEADER + body as usize;
+        }
+        assert_eq!(at, bytes.len());
+        records
+    }
+
+    fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Recomputes the checksum, so a test reaches the parser behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let sum = checksum(&bytes[16..]);
+        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn dump_headers_must_match_the_stream_length() {
         let rec = sample();
         let mut bytes = rec.to_bytes();
-        let raw: Vec<u8> = rec.dumps.iter().flat_map(|d| d.bytes.clone()).collect();
-        // The last dump header's length sits just before the blob length.
-        let at = bytes.len() - grz_compress(&raw).len() - 8;
+        // The last dump is GRZ-coded; its `len` follows its `va`.
+        let at = dump_records(&rec, &bytes)[1] + 8;
         assert_eq!(bytes[at..at + 4], 8192u32.to_le_bytes());
-        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = checksum(&bytes[16..]);
-        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(bytes[at + 4], GRZ);
+        put_u32(&mut bytes, at, u32::MAX);
+        reseal(&mut bytes);
         assert_eq!(
             Recording::from_bytes(&bytes),
             Err(ContainerError::Truncated)
         );
+    }
+
+    #[test]
+    fn hostile_dump_records_are_typed_errors_without_large_allocations() {
+        let mut rec = sample();
+        rec.dumps = vec![
+            Dump {
+                va: 0x10_0000,
+                bytes: noise(3, 4096),
+            },
+            Dump {
+                va: 0x10_1000,
+                bytes: vec![0xAB; 2048],
+            },
+        ];
+        let bytes = rec.to_bytes();
+        let at = dump_records(&rec, &bytes);
+        let (stored, grz) = (at[0], at[1]);
+        assert_eq!((bytes[stored + 12], bytes[grz + 12]), (STORED, GRZ));
+        let grz_body = grz + DUMP_HEADER;
+
+        type Tamper<'a> = &'a dyn Fn(&mut [u8]);
+        let cases: [(&str, Tamper, ContainerError); 6] = [
+            (
+                "coding byte 2",
+                &|b| b[grz + 12] = 2,
+                ContainerError::BadCoding(2),
+            ),
+            (
+                "stored body shorter than len",
+                &|b| put_u32(b, stored + 8, 4097),
+                ContainerError::Truncated,
+            ),
+            (
+                "stored body longer than len",
+                &|b| put_u32(b, stored + 8, 4095),
+                ContainerError::Truncated,
+            ),
+            (
+                "GRZ claim above len",
+                &|b| put_u32(b, grz_body + 4, 2049),
+                ContainerError::Truncated,
+            ),
+            (
+                "GRZ claim far beyond the body",
+                &|b| {
+                    put_u32(b, grz + 8, u32::MAX);
+                    put_u32(b, grz_body + 4, u32::MAX);
+                },
+                ContainerError::Dump(GrzError::Truncated),
+            ),
+            (
+                "body running past the end",
+                &|b| put_u32(b, grz + 13, u32::MAX),
+                ContainerError::Truncated,
+            ),
+        ];
+        for (what, tamper, want) in cases {
+            let mut hostile = bytes.clone();
+            tamper(&mut hostile);
+            reseal(&mut hostile);
+            gr_testalloc::reset();
+            assert_eq!(Recording::from_bytes(&hostile), Err(want), "{what}");
+            assert!(
+                gr_testalloc::largest() <= hostile.len(),
+                "{what}: allocated {} for a {}-byte container",
+                gr_testalloc::largest(),
+                hostile.len()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_dumps_roundtrip_and_are_stored_exactly_when_grz_does_not_shrink(
+            specs in proptest::collection::vec((proptest::prelude::any::<u64>(), 0usize..3000), 0..6)
+        ) {
+            let mut rec = sample();
+            rec.dumps = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(seed, n))| {
+                    let bytes = match seed % 3 {
+                        0 => noise(seed, n),
+                        // Zero-heavy: a few random bytes on a zero page.
+                        1 => {
+                            let mut z = vec![0u8; n];
+                            for (k, b) in noise(seed, n / 64).into_iter().enumerate() {
+                                z[(k * 61 + b as usize) % n] = b;
+                            }
+                            z
+                        }
+                        _ => [noise(seed, n / 2), vec![0; n - n / 2]].concat(),
+                    };
+                    Dump { va: 0x10_0000 * (i as u64 + 1), bytes }
+                })
+                .collect();
+            let bytes = rec.to_bytes();
+            assert_eq!(Recording::from_bytes(&bytes).unwrap(), rec);
+            for (d, at) in rec.dumps.iter().zip(dump_records(&rec, &bytes)) {
+                let shrinks = grz_compress(&d.bytes).len() < d.bytes.len();
+                assert_eq!(bytes[at + 12], if shrinks { GRZ } else { STORED });
+            }
+            let no_dumps = Recording { dumps: Vec::new(), ..rec.clone() };
+            let bound = no_dumps.to_bytes().len() + rec.dump_bytes() + DUMP_HEADER * rec.dumps.len();
+            assert!(bytes.len() <= bound, "{} > {bound}", bytes.len());
+        }
     }
 
     #[test]

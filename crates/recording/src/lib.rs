@@ -4,8 +4,9 @@
 //! the paper's Table 2 ([`Action`]), the GPU memory dumps that hold the
 //! proprietary job binaries, the discovered input/output addresses, and
 //! metadata binding the recording to a GPU SKU. Recordings serialize to a
-//! compact binary container ([`Recording::to_bytes`]) with GRZ (LZSS)
-//! compression of the dump payload — standing in for the paper's zlib.
+//! compact binary container ([`Recording::to_bytes`]) in which each dump is
+//! GRZ (LZSS) compressed when that makes it smaller and stored raw
+//! otherwise — standing in for the paper's zlib.
 //!
 //! # Example
 //!
@@ -33,3 +34,8 @@ pub use action::{Action, TimedAction};
 pub use codec::{grz_compress, grz_decompress};
 pub use container::{ContainerError, Recording};
 pub use meta::{Dump, IoSlot, RecordingMeta};
+
+// Lets tests prove that hostile lengths are refused before allocation.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: gr_testalloc::Tracking = gr_testalloc::Tracking;

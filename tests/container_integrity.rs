@@ -1,7 +1,7 @@
 //! Tamper coverage for the container checksum on a real recording: every
 //! single-bit flip in the payload must be caught (the word-wise checksum
-//! guarantees it for any change confined to one 8-byte word), and the
-//! previous format version must be refused outright.
+//! guarantees it for any change confined to one 8-byte word), and earlier
+//! format versions must be refused outright.
 
 use gpureplay::prelude::*;
 use gr_recording::ContainerError;
@@ -54,5 +54,15 @@ fn version_one_containers_are_refused() {
     assert_eq!(
         Recording::from_bytes(&bytes),
         Err(ContainerError::BadVersion(1))
+    );
+}
+
+#[test]
+fn version_two_containers_are_refused() {
+    let mut bytes = mnist_container();
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        Recording::from_bytes(&bytes),
+        Err(ContainerError::BadVersion(2))
     );
 }
