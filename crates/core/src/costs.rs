@@ -27,17 +27,12 @@ pub const ACTION_DISPATCH_WARM: SimDuration = SimDuration::from_nanos(100);
 /// elided by cross-batch warm residency. Set together with residency, so
 /// the residency virtual gain (`tests/virtual_gates.rs`) follows from
 /// this value, not from a measurement. The replayer still walks the
-/// resolved action list and consults the dirty log, but performs no
-/// register access or transfer.
+/// resolved action list and queries the DRAM dirty-line map for each
+/// upload's range, but performs no register access or transfer. On the
+/// wall clock a resident AlexNet prologue took 0.06–0.12 ms against
+/// 1.15–1.45 ms for a full one (`perfbench --workload serve --trace 1`,
+/// shared 2-vCPU x86-64 host).
 pub const ACTION_RESIDENT_SKIP: SimDuration = SimDuration::from_nanos(20);
-
-/// Modelled, not calibrated: content-check throughput for the residency
-/// overflow fallback, bytes/sec. When the dirty log overflowed, the
-/// replayer reads a dump's backing memory back and compares it byte for
-/// byte against the dump loaded with the recording (`load` no longer
-/// hashes dumps). Faster than an upload — it reads DRAM once and does ALU
-/// work — but far from free, which is why the log is the primary proof.
-pub const HASH_BW: f64 = 8.0e9;
 
 /// Modelled, not calibrated: static verification per action (§5.1).
 pub const VERIFY_PER_ACTION: SimDuration = SimDuration::from_nanos(150);

@@ -6,7 +6,7 @@
 //! ([`nano`]), and interprets the replay actions with §4.5 pacing,
 //! §5.4 failure detection + re-execution recovery, §5.3 GPU handoff /
 //! preemption and optional checkpointing, in any of four deployment
-//! environments (user, kernel, TEE, baremetal — [`env`], §6.3). The §6.4
+//! environments (user, kernel, TEE, baremetal — [`env`](mod@env), §6.3). The §6.4
 //! cross-SKU recording patcher lives in [`patch`].
 //!
 //! # Example

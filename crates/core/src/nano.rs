@@ -229,7 +229,7 @@ impl NanoDriver {
 
     /// Resolves the GPU-virtual range `[va, va+len)` to its backing
     /// physical ranges (contiguous pages coalesced). Used by the warm-
-    /// residency state machine to query the DRAM dirty log about the
+    /// residency state machine to query the DRAM dirty-line map about the
     /// memory behind a dump.
     ///
     /// # Errors

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use gr_gpu::machine::WaitOutcome;
 use gr_recording::{Action, Recording};
 use gr_sim::{SimDuration, SimTime};
-use gr_soc::{DirtyMark, IrqLine};
+use gr_soc::IrqLine;
 
 use crate::costs;
 use crate::env::Environment;
@@ -142,16 +142,14 @@ pub struct BatchReport {
     /// of these actually executed this batch — the rest were elided by
     /// cross-batch warm residency.
     pub prologue_actions: usize,
-    /// Prologue actions elided because the dirty log (or its overflow
-    /// fallback's byte comparison) proved their backing memory unchanged
-    /// since the previous batch of the same recording on this warm
-    /// machine.
+    /// Prologue actions elided because the DRAM dirty-line map proved
+    /// their backing memory unchanged since the previous batch of the same
+    /// recording on this warm machine.
     pub prologue_skipped: usize,
     /// Dump bytes a *resident* batch re-uploaded to re-establish the
-    /// post-prologue memory image: only the log-proven dirty subranges of
-    /// each dump (or a whole dump on an overflow-fallback mismatch). Always 0
-    /// for a non-resident batch, which uploads everything via the full
-    /// prologue instead.
+    /// post-prologue memory image: only the dirty lines of each dump.
+    /// Always 0 for a non-resident batch, which uploads everything via the
+    /// full prologue instead.
     pub resident_reupload_bytes: u64,
     /// Actions executed per element.
     pub suffix_actions: usize,
@@ -181,16 +179,16 @@ struct Loaded {
 }
 
 /// Cross-batch warm residency: what the previous successful warm batch of
-/// `id` left behind. `mark` was taken right after that batch's prologue
-/// work; `epoch` pins the dirty log's epoch (GPU reset or AS switch bumps
-/// it, dropping residency — the §5.4 re-warm path included); `access` is
+/// `id` left behind. The DRAM dirty-line map was cleared right after that
+/// batch's prologue work; `epoch` pins the map's epoch (GPU reset or AS
+/// switch bumps it, dropping residency — the §5.4 re-warm path and any
+/// other replayer's batch on the same machine included); `access` is
 /// the suffix's first-read/write sets (None when the access log
 /// overflowed or checkpointing interleaved reads the log cannot see).
 #[derive(Debug, Clone)]
 struct Residency {
     id: usize,
     epoch: u64,
-    mark: DirtyMark,
     access: Option<gr_gpu::AccessSnapshot>,
 }
 
@@ -524,9 +522,8 @@ impl Replayer {
         let first = skip.iter().position(|&s| !s).expect("a runnable element");
 
         // Cross-batch warm residency: when the previous successful warm
-        // batch was this same recording and the dirty log proves (or its
-        // overflow fallback's byte comparison verifies) the prologue's
-        // backing memory unchanged, elide the prologue instead of
+        // batch was this same recording and the dirty-line map proves the
+        // prologue's backing memory unchanged, elide the prologue instead of
         // re-establishing state. Taking the anchor here means any error
         // return below leaves residency dropped — only a fully successful
         // batch re-arms it.
@@ -549,14 +546,15 @@ impl Replayer {
                 (costs::ACTION_DISPATCH - costs::ACTION_DISPATCH_WARM) * (end - split) as u64,
             );
         }
-        // New residency anchor: everything written after this point
-        // (element inputs, shader stores, external dirtiers) is visible to
-        // the next batch's cleanliness queries. Stored only on success; a
-        // mid-batch §5.4 reset bumps the epoch and invalidates it anyway.
+        // New residency anchor: clearing the dirty-line map here makes
+        // everything written after this point (element inputs, shader
+        // stores, external dirtiers) visible to the next batch's
+        // cleanliness queries. Stored only on success; a mid-batch §5.4
+        // reset bumps the epoch and invalidates it anyway.
+        machine.mem().clear_dirty();
         let mut anchor = Residency {
             id,
             epoch: machine.mem().dirty_epoch(),
-            mark: machine.mem().dirty_mark(),
             access: None,
         };
         // Arm the GPU access log for the suffix: the next batch uses its
@@ -659,7 +657,7 @@ impl Replayer {
     }
 
     /// Takes the stored residency if it is still valid for recording `id`:
-    /// residency enabled, same recording, and the dirty-log epoch
+    /// residency enabled, same recording, and the dirty-map epoch
     /// unchanged (no GPU reset or address-space switch since the anchor
     /// was taken — including §5.4 re-warms, which reset). Taking it means
     /// an invalid or consumed anchor never survives an error path.
@@ -675,27 +673,22 @@ impl Replayer {
     }
 
     /// Runs the prologue `[0, split)` in resident mode: prologue actions
-    /// whose backing memory is provably unchanged since `res.mark` are
-    /// elided (registers, maps, and the table-base switch are warm — the
-    /// suffix cannot touch them, exactly the inter-element invariant warm
-    /// batches already rely on; `residency_safe` guarantees no prologue
-    /// action after the first upload could observe memory). `Upload`s
-    /// re-establish exactly what changed:
+    /// whose backing memory is provably unchanged since the anchor cleared
+    /// the dirty-line map are elided (registers, maps, and the table-base
+    /// switch are warm — the suffix cannot touch them, exactly the
+    /// inter-element invariant warm batches already rely on;
+    /// `residency_safe` guarantees no prologue action after the first
+    /// upload could observe memory). `Upload`s re-establish exactly what
+    /// changed:
     ///
-    /// * log-proven dirty intervals re-upload **only those subranges** of
-    ///   the dump, rounded out to a 64-byte transfer line (the clean
-    ///   remainder provably already equals the post-prologue bytes);
+    /// * dirty lines re-upload **only those lines** of the dump, clipped
+    ///   to it (the clean remainder provably already equals the
+    ///   post-prologue bytes);
     /// * subranges the suffix overwrites before any read, and bytes a
     ///   later prologue upload covers, skip restoration — nothing can
-    ///   observe them before their final content is re-established;
-    /// * `Unknown` verdicts (log overflowed past the mark) fall back to
-    ///   comparing the range's bytes against the loaded dump — a match keeps
-    ///   the action elided, a mismatch (or an overlapped dump, whose
-    ///   post-prologue content is not its own bytes) re-uploads the whole
-    ///   dump.
+    ///   observe them before their final content is re-established.
     ///
     /// Returns `(fully_elided_actions, re_uploaded_bytes)`.
-    #[allow(clippy::too_many_lines)]
     fn run_prologue_resident(
         &mut self,
         id: usize,
@@ -703,9 +696,6 @@ impl Replayer {
         res: &Residency,
     ) -> Result<(usize, u64), ReplayError> {
         use gr_gpu::IntervalSet;
-
-        /// DMA granularity for partial re-uploads.
-        const LINE: u64 = 64;
 
         let machine = self.env.machine().clone();
         let mem = machine.mem().clone();
@@ -719,46 +709,21 @@ impl Replayer {
             if self.loaded[id].dead_uploads.contains(&pr.index) {
                 continue;
             }
-            // Interval-precise verdicts: the log hands back exactly the
-            // written subranges. `Unknown` is a property of the mark
-            // (overflow/epoch), so one unknown chunk means the whole dump
-            // is.
+            // VA and PA share offsets within a page, so the map's whole
+            // physical lines are whole lines in VA too; clip the first and
+            // last to the dump.
             let mut dirty = IntervalSet::new();
-            let mut unknown = false;
-            let mut off = 0u64;
+            let mut va = pr.va;
             for (pa, plen) in self.nano.phys_ranges(pr.va, pr.len)? {
-                let Some(intervals) = mem.dirty_intervals_since(res.mark, pa, plen) else {
-                    unknown = true;
-                    break;
-                };
-                for (s, e) in intervals {
-                    // Map the physical interval back into the dump's VA
-                    // span, round out to the transfer line, clip.
-                    let va_s = ((pr.va + off + (s - pa)) / LINE * LINE).max(pr.va);
-                    let va_e = ((pr.va + off + (e - pa)).div_ceil(LINE) * LINE).min(pr.va + pr.len);
-                    dirty.insert(va_s, va_e);
+                for (s, e) in mem.dirty_lines(pa, plen) {
+                    dirty.insert(
+                        (va + s).saturating_sub(pa).max(pr.va),
+                        (va + e - pa).min(pr.va + pr.len),
+                    );
                 }
-                off += plen as u64;
+                va += plen as u64;
             }
-            if unknown {
-                if pr.hash_skippable {
-                    // The log cannot answer (overflow): compare the memory
-                    // against the loaded dump (hash-skippable ranges span
-                    // exactly the dump), charging the read at `HASH_BW`.
-                    machine.advance(costs::xfer(pr.len, costs::HASH_BW));
-                    let mut buf = vec![0u8; pr.len as usize];
-                    self.nano.read_va(pr.va, &mut buf)?;
-                    if buf != self.loaded[id].rec.dumps[pr.upload as usize].bytes {
-                        let mut whole = IntervalSet::new();
-                        whole.insert(pr.va, pr.va + pr.len);
-                        plans.push((pr.index, pr.upload, whole));
-                    }
-                } else {
-                    let mut whole = IntervalSet::new();
-                    whole.insert(pr.va, pr.va + pr.len);
-                    plans.push((pr.index, pr.upload, whole));
-                }
-            } else if !dirty.is_empty() {
+            if !dirty.is_empty() {
                 // Suffix access-set elision: a dirty byte needs restoring
                 // only when the suffix reads it before writing it, or
                 // does not rewrite it at all (then the post-batch image
@@ -786,7 +751,7 @@ impl Replayer {
         // Dead-write elision across the prologue: `residency_safe`
         // guarantees nothing but uploads follow the first upload, so a
         // byte covered by any *later* upload either gets rewritten by
-        // that upload's plan or already holds its (clean/hash-proven)
+        // that upload's plan or already holds its (provably clean)
         // bytes — exactly the post-prologue content. Earlier uploads need
         // not restore such bytes. (The v3d recorder re-dumps its
         // control-list page per job: 8 overlapping single-page uploads

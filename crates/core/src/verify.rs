@@ -38,7 +38,7 @@ pub struct VerifyReport {
     pub batch_split: Option<usize>,
     /// The memory ranges backing each prologue `Upload` action (empty
     /// when `batch_split` is `None`). Cross-batch warm residency consults
-    /// these against the dirty log to decide which uploads can be elided
+    /// these against the DRAM dirty-line map to decide which uploads can be elided
     /// on an unchanged machine; register bring-up and `MapGpuMem` carry
     /// no annotation because a resident batch elides them unconditionally
     /// (they are warm and idempotent — the maps rewrite nothing).
@@ -67,12 +67,6 @@ pub struct PrologueRange {
     pub len: u64,
     /// The dump the action uploads.
     pub upload: u32,
-    /// `Upload` only: `true` when no *later* prologue upload overlaps this
-    /// dump's range, so the post-prologue content of the range equals the
-    /// dump bytes and comparing the range against the dump can stand in
-    /// for the dirty log when it overflowed. Overlapped dumps must
-    /// re-upload instead.
-    pub hash_skippable: bool,
 }
 
 /// Annotates every `Upload` action in the prologue `[0, split)` with its
@@ -86,23 +80,11 @@ fn annotate_prologue(rec: &Recording, split: usize) -> Vec<PrologueRange> {
         let Some(dump) = rec.dumps.get(*dump_idx as usize) else {
             continue; // verify() proper rejects this recording
         };
-        let (va, len) = (dump.va, dump.bytes.len() as u64);
-        let hash_skippable = rec.actions[i + 1..split].iter().all(|later| {
-            let Action::Upload { dump_idx: later_d } = &later.action else {
-                return true;
-            };
-            let Some(ld) = rec.dumps.get(*later_d as usize) else {
-                return true;
-            };
-            // Disjoint ranges keep the comparison meaningful.
-            ld.va >= va + len || ld.va + ld.bytes.len() as u64 <= va
-        });
         out.push(PrologueRange {
             index: i,
-            va,
-            len,
+            va: dump.va,
+            len: dump.bytes.len() as u64,
             upload: *dump_idx,
-            hash_skippable,
         });
     }
     out
@@ -497,9 +479,7 @@ mod tests {
             va: 0x10_0000,
             bytes: vec![1; PAGE_SIZE],
         });
-        // A second dump overlapping the first: the first loses hash
-        // skippability (its post-prologue content is not its own bytes),
-        // the second keeps it.
+        // A second dump overlapping the first: both are annotated.
         rec.dumps.push(Dump {
             va: 0x10_0800,
             bytes: vec![2; 64],
@@ -522,10 +502,9 @@ mod tests {
         let up0 = &report.prologue_ranges[0];
         assert_eq!((up0.index, up0.va, up0.len), (1, 0x10_0000, 4096));
         assert_eq!(up0.upload, 0);
-        assert!(!up0.hash_skippable, "overlapped by the later upload");
         let up1 = &report.prologue_ranges[1];
+        assert_eq!((up1.index, up1.va, up1.len), (2, 0x10_0800, 64));
         assert_eq!(up1.upload, 1);
-        assert!(up1.hash_skippable, "nothing later overlaps it");
 
         // Unbatchable recordings carry no annotations and no residency.
         let plain = base_rec();

@@ -4,10 +4,10 @@
 //!
 //! A device parses its own job format (a Mali job chain, a v3d control
 //! list) into a list of shader blobs, then hands that list to
-//! [`JobMem::execute`]. The executor fetches, decodes and executes each
+//! `JobMem::execute`. The executor fetches, decodes and executes each
 //! blob in order, at completion time, through the device's [`SoftTlb`],
 //! access log and [`ExecScratch`]. It reports failures as a
-//! family-neutral [`JobFault`], which each device maps to its own fault
+//! family-neutral `JobFault`, which each device maps to its own fault
 //! registers.
 
 use std::collections::HashMap;
@@ -52,13 +52,6 @@ pub trait GpuDev: Send {
 
     /// Monotonic count of successfully completed jobs.
     fn jobs_completed(&self) -> u64;
-
-    /// Handle to the device's per-batch access log (see
-    /// [`crate::access`]); the replayer arms it around warm-batch
-    /// suffixes to learn the suffix's first-read/write sets.
-    fn access_log(&self) -> crate::access::SharedAccessLog {
-        crate::access::SharedAccessLog::new()
-    }
 }
 
 /// Software TLB: caches `page_va → (page_pa, writable)` so the execution

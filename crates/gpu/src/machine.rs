@@ -75,6 +75,7 @@ impl Machine {
         let pmc = SharedPmc::new(Pmc::new(clock.clone()));
         let mbox = Arc::new(Mutex::new(Mailbox::new(clock.clone(), pmc.clone())));
         let rng = SimRng::seed_from(seed).fork("gpu-device");
+        let access = crate::access::SharedAccessLog::new();
         let gpu: Box<dyn GpuDev> = match sku.family {
             GpuFamilyKind::Mali => Box::new(MaliGpu::new(
                 sku,
@@ -83,6 +84,7 @@ impl Machine {
                 irq.clone(),
                 pmc.clone(),
                 rng,
+                access.clone(),
             )),
             GpuFamilyKind::V3d => Box::new(V3dGpu::new(
                 sku,
@@ -91,10 +93,10 @@ impl Machine {
                 irq.clone(),
                 pmc.clone(),
                 rng,
+                access.clone(),
             )),
         };
         let frames = FrameAllocator::new(DRAM_BASE, dram_size / PAGE_SIZE);
-        let access = gpu.access_log();
         Machine {
             clock,
             mem,

@@ -148,6 +148,7 @@ impl MaliGpu {
         irq: IrqController,
         pmc: SharedPmc,
         rng: SimRng,
+        access: crate::access::SharedAccessLog,
     ) -> Self {
         MaliGpu {
             sku,
@@ -156,7 +157,7 @@ impl MaliGpu {
             irq,
             pmc,
             rng,
-            access: crate::access::SharedAccessLog::new(),
+            access,
             gpu_rawstat: 0,
             gpu_mask: 0,
             job_rawstat: 0,
@@ -605,10 +606,6 @@ impl GpuDev for MaliGpu {
     fn jobs_completed(&self) -> u64 {
         self.jobs_completed
     }
-
-    fn access_log(&self) -> crate::access::SharedAccessLog {
-        self.access.clone()
-    }
 }
 
 #[cfg(test)]
@@ -625,6 +622,7 @@ mod tests {
         clock: SimClock,
         mem: SharedMem,
         irq: IrqController,
+        access: crate::access::SharedAccessLog,
         gpu: MaliGpu,
         alloc: FrameAllocator,
         root: u64,
@@ -639,6 +637,7 @@ mod tests {
         pmc.write32(Pmc::pwr_ctrl_off(PmcDomain::GpuCore), 1);
         pmc.write32(Pmc::pwr_ctrl_off(PmcDomain::GpuMem), 1);
         clock.advance(SETTLE_DELAY);
+        let access = crate::access::SharedAccessLog::new();
         let gpu = MaliGpu::new(
             sku,
             clock.clone(),
@@ -646,6 +645,7 @@ mod tests {
             irq.clone(),
             pmc,
             SimRng::seed_from(7),
+            access.clone(),
         );
         let mut alloc = FrameAllocator::new(0x8000_0000, 512);
         let root = alloc_root(&mem, &mut alloc).unwrap();
@@ -653,6 +653,7 @@ mod tests {
             clock,
             mem,
             irq,
+            access,
             gpu,
             alloc,
             root,
@@ -845,6 +846,7 @@ mod tests {
             IrqController::new(),
             pmc,
             SimRng::seed_from(1),
+            crate::access::SharedAccessLog::new(),
         );
         gpu.write32(r::JS0_COMMAND, r::JS_CMD_START);
         assert_eq!(gpu.read32(r::GPU_FAULTSTATUS), r::GPU_FAULT_POWER);
@@ -1103,8 +1105,9 @@ mod tests {
     fn fc_job_streams_weights_and_logs_the_whole_range_as_read() {
         let mut rg = rig(&MALI_G71);
         let expected = fc_setup(&mut rg);
-        // The handle `Machine::gpu_access` hands the replayer.
-        let log = rg.gpu.access_log();
+        // The log the rig handed the device, as `Machine::with_dram` hands
+        // the device the handle `Machine::gpu_access` returns.
+        let log = rg.access.clone();
         log.arm();
         let raw = submit_and_wait(&mut rg);
         assert_eq!(raw & r::JOB_IRQ_DONE0, r::JOB_IRQ_DONE0);

@@ -6,7 +6,7 @@
 //! *structure* is part of the open driver contract (drm/v3d parses it), so
 //! the paper's v3d recorder walks it to find every region a job references
 //! (§6.2: "the recorder follows v3d's registers pointing to shaders and
-//! control lists [and] handles the cases where lists/shaders may contain
+//! control lists \[and\] handles the cases where lists/shaders may contain
 //! pointers to other lists/shaders").
 //!
 //! Packet wire format (little-endian):

@@ -123,6 +123,7 @@ impl V3dGpu {
         irq: IrqController,
         pmc: SharedPmc,
         rng: SimRng,
+        access: crate::access::SharedAccessLog,
     ) -> Self {
         V3dGpu {
             sku,
@@ -140,7 +141,7 @@ impl V3dGpu {
             mmu_ctrl: 0,
             mmu_addr: 0,
             running: false,
-            access: crate::access::SharedAccessLog::new(),
+            access,
             resetting: false,
             flushing: false,
             flush_done_at: SimTime::ZERO,
@@ -437,10 +438,6 @@ impl GpuDev for V3dGpu {
     fn jobs_completed(&self) -> u64 {
         self.jobs_completed
     }
-
-    fn access_log(&self) -> crate::access::SharedAccessLog {
-        self.access.clone()
-    }
 }
 
 #[cfg(test)]
@@ -477,6 +474,7 @@ mod tests {
             irq.clone(),
             pmc,
             SimRng::seed_from(9),
+            crate::access::SharedAccessLog::new(),
         );
         let mut alloc = FrameAllocator::new(0x8000_0000, 512);
         // Reset + wait.

@@ -431,12 +431,12 @@ fn tap_hull(input: usize, kernel: usize, stride: usize, pad: usize, outn: usize)
 /// group and adds `x · w` across all of them per tap, reading a weight
 /// block transposed once per call to `[icg][ky][kx][ocg]`. Only the hull
 /// of taps that are in bounds for some output is transposed (see
-/// [`tap_hull`]); a small map under a large padded kernel would otherwise
+/// `tap_hull`); a small map under a large padded kernel would otherwise
 /// pay for taps no output reads.
 ///
 /// Bit-exactness: each output element starts from its bias and walks its
 /// in-bounds `(icg, ky, kx)` taps in the reference order, exactly as in
-/// [`conv2d_reference`]; only the interleaving across output channels
+/// `conv2d_reference`; only the interleaving across output channels
 /// changes, which f32 cannot observe. Pays off when `cout / groups`
 /// exceeds the output width (narrow or strided maps); a depthwise conv
 /// (`cout / groups == 1`) would run one-wide inner loops.

@@ -28,10 +28,11 @@
 //!   worker, its warm state, and its batchmates all survive;
 //! * **cross-batch warm residency**: a worker serving consecutive batches
 //!   of the same recording elides the reset/upload/remap prologue when
-//!   the DRAM dirty log proves the machine's memory unchanged since the
-//!   previous batch (`DESIGN.md` §13); residency drops on recording
-//!   switch, GPU reset/fault re-warm, and hash-fallback mismatch, and
-//!   the elisions surface as `ShardStats::prologue_skipped`;
+//!   the DRAM dirty-line map proves the machine's memory unchanged since
+//!   the previous batch, re-uploading only the dirty lines of a dump
+//!   (`DESIGN.md` §13); residency drops on recording switch and on GPU
+//!   reset or fault re-warm, and the elisions surface as
+//!   `ShardStats::prologue_skipped`;
 //! * **replay-progress clock**: after each formed batch a worker advances
 //!   the service clock to its machine's virtual timeline, so queued
 //!   deadlines expire from replay progress without an external driver
@@ -161,7 +162,7 @@ pub struct ShardSpec {
     pub max_batch: usize,
     /// Cross-batch warm residency on the shard's workers (on by default):
     /// consecutive batches of the same recording elide the prologue when
-    /// the dirty log proves the machine's memory unchanged. Benchmarks
+    /// the dirty-line map proves the machine's memory unchanged. Benchmarks
     /// turn it off to measure the per-batch-prologue baseline.
     pub residency: bool,
 }

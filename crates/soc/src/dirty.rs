@@ -1,209 +1,125 @@
-//! Physical-address dirty-range tracking for cross-batch warm residency.
+//! Physical dirty-line map for cross-batch warm residency.
 //!
 //! Every DRAM mutation funnels through [`crate::PhysMem`] (plain writes,
 //! scalar stores, fills, and the zero-copy `slice_mut` used by the GPU
-//! shader-store path), so a bounded append-only log of written intervals
-//! is a complete record of "what changed since instant X" at the physical
-//! level — device DMA, CPU-side stack writes, and replayer uploads alike.
+//! shader-store path), so one bit per [`DIRTY_LINE`]-byte line of DRAM is
+//! an exact record of "what changed since the map was last cleared" at the
+//! physical level — device DMA, CPU-side stack writes, and replayer uploads
+//! alike.
 //!
-//! Consumers take a [`DirtyMark`] (a position in the log) and later ask
-//! [`DirtyLog::dirty_since`] whether a physical range was written after
-//! that mark. Three answers are possible:
-//!
-//! * [`DirtyVerdict::Clean`] — provably untouched since the mark;
-//! * [`DirtyVerdict::Dirty`] — a logged write overlaps the range;
-//! * [`DirtyVerdict::Unknown`] — the log cannot answer: the mark is from
-//!   an older *epoch* (the GPU reset or switched address spaces, which
-//!   invalidates every outstanding mark, mirroring `SoftTlb` flushes) or
-//!   the bounded log was trimmed past the mark (overflow). Callers fall
-//!   back to content hashing or to re-establishing state.
-//!
-//! The log is bounded ([`DirtyLog::set_cap`]): appends past the capacity
-//! trim the oldest intervals, turning *older* marks into `Unknown` —
-//! conservative, never unsound. Adjacent/overlapping appends coalesce
-//! into the tail interval (its sequence number is refreshed, which can
-//! only over-report dirtiness for old marks — again conservative).
+//! The map has a fixed size (one bit per line: 256 KiB for 128 MiB of
+//! DRAM) and no overflow: a consumer clears it, and later asks
+//! [`DirtyLines::runs`] for the written lines of a range. There is one
+//! window per machine — clearing serves exactly one consumer, the
+//! replayer's residency anchor. The *epoch* counter is bumped by the GPU
+//! models on reset and address-space switches (mirroring `SoftTlb`
+//! flushes); a consumer that recorded the epoch at clear time drops its
+//! state when it changed, which also covers a second replayer on the same
+//! machine, since every one of its batches switches the page-table root.
 
-use std::collections::VecDeque;
+/// Granularity of the map in bytes: the transfer line a partial
+/// re-upload rounds out to.
+pub const DIRTY_LINE: u64 = 64;
 
-/// Default bound on retained write intervals. Steady-state replay batches
-/// append a few hundred intervals; the window comfortably covers several
-/// inter-batch gaps before queries degrade to `Unknown`.
-pub const DEFAULT_DIRTY_LOG_CAP: usize = 4096;
-
-/// A position in a [`DirtyLog`]: everything appended *after* the mark is
-/// visible to [`DirtyLog::dirty_since`] queries against it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirtyMark {
-    epoch: u64,
-    seq: u64,
-}
-
-/// Answer to "was this range written since the mark?".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirtyVerdict {
-    /// Provably untouched since the mark.
-    Clean,
-    /// A logged write overlaps the range.
-    Dirty,
-    /// The log cannot answer (stale epoch or trimmed past the mark);
-    /// callers must verify content another way.
-    Unknown,
-}
-
-/// One retained write interval: `[start, end)` appended at `seq`.
-#[derive(Debug, Clone, Copy)]
-struct Interval {
-    seq: u64,
-    start: u64,
-    end: u64,
-}
-
-/// Bounded write-interval log over physical addresses.
+/// One bit per [`DIRTY_LINE`]-byte line of a DRAM region, counted from
+/// the region's base.
 #[derive(Debug)]
-pub struct DirtyLog {
+pub struct DirtyLines {
+    base: u64,
+    lines: u64,
+    words: Vec<u64>,
     epoch: u64,
-    next_seq: u64,
-    /// Queries from marks with `seq < trimmed` are `Unknown`.
-    trimmed: u64,
-    intervals: VecDeque<Interval>,
-    cap: usize,
 }
 
-impl Default for DirtyLog {
-    fn default() -> Self {
-        DirtyLog::new(DEFAULT_DIRTY_LOG_CAP)
-    }
-}
-
-impl DirtyLog {
-    /// Creates an empty log retaining at most `cap` intervals (min 1).
-    pub fn new(cap: usize) -> DirtyLog {
-        DirtyLog {
+impl DirtyLines {
+    /// A clean map over `[base, base + size)`.
+    pub fn new(base: u64, size: usize) -> DirtyLines {
+        let lines = (size as u64).div_ceil(DIRTY_LINE);
+        DirtyLines {
+            base,
+            lines,
+            words: vec![0; lines.div_ceil(64) as usize],
             epoch: 0,
-            next_seq: 0,
-            trimmed: 0,
-            intervals: VecDeque::new(),
-            cap: cap.max(1),
         }
     }
 
-    /// Current epoch; bumped by [`DirtyLog::bump_epoch`].
+    /// Current epoch; bumped by [`DirtyLines::bump_epoch`].
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Shrinks or grows the retention bound (tests force overflow with a
-    /// tiny cap). Trims immediately when shrinking.
-    pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap.max(1);
-        while self.intervals.len() > self.cap {
-            let dropped = self.intervals.pop_front().expect("non-empty");
-            self.trimmed = dropped.seq + 1;
-        }
-    }
-
-    /// Records a write of `[start, start+len)`. Coalesces with the tail
-    /// interval when overlapping or adjacent; the merged interval's
-    /// sequence is refreshed so older marks see it as new (conservative).
-    pub fn record(&mut self, start: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let end = start.saturating_add(len as u64);
-        if let Some(tail) = self.intervals.back_mut() {
-            if start <= tail.end && end >= tail.start {
-                tail.start = tail.start.min(start);
-                tail.end = tail.end.max(end);
-                tail.seq = self.next_seq;
-                self.next_seq += 1;
-                return;
-            }
-        }
-        self.intervals.push_back(Interval {
-            seq: self.next_seq,
-            start,
-            end,
-        });
-        self.next_seq += 1;
-        if self.intervals.len() > self.cap {
-            let dropped = self.intervals.pop_front().expect("over cap");
-            self.trimmed = dropped.seq + 1;
-        }
-    }
-
-    /// A mark covering everything appended from now on.
-    pub fn mark(&self) -> DirtyMark {
-        DirtyMark {
-            epoch: self.epoch,
-            seq: self.next_seq,
-        }
-    }
-
-    /// Was `[start, start+len)` written since `mark`?
-    pub fn dirty_since(&self, mark: DirtyMark, start: u64, len: usize) -> DirtyVerdict {
-        if mark.epoch != self.epoch {
-            return DirtyVerdict::Unknown;
-        }
-        if mark.seq < self.trimmed {
-            return DirtyVerdict::Unknown;
-        }
-        let end = start.saturating_add(len.max(1) as u64);
-        // Sequences are nondecreasing front-to-back: scan from the tail
-        // and stop at the first interval older than the mark.
-        for iv in self.intervals.iter().rev() {
-            if iv.seq < mark.seq {
-                break;
-            }
-            if start < iv.end && iv.start < end {
-                return DirtyVerdict::Dirty;
-            }
-        }
-        DirtyVerdict::Clean
-    }
-
-    /// The written subranges of `[start, start+len)` since `mark`, as
-    /// clipped, sorted, merged `(start, end)` pairs — empty means clean.
-    /// `None` when the log cannot answer (stale epoch or trimmed past the
-    /// mark). The interval-precise sibling of [`DirtyLog::dirty_since`]:
-    /// consumers re-establish exactly the bytes that changed.
-    pub fn dirty_intervals_since(
-        &self,
-        mark: DirtyMark,
-        start: u64,
-        len: usize,
-    ) -> Option<Vec<(u64, u64)>> {
-        if mark.epoch != self.epoch || mark.seq < self.trimmed {
-            return None;
-        }
-        let end = start.saturating_add(len.max(1) as u64);
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        for iv in self.intervals.iter().rev() {
-            if iv.seq < mark.seq {
-                break;
-            }
-            if start < iv.end && iv.start < end {
-                out.push((iv.start.max(start), iv.end.min(end)));
-            }
-        }
-        out.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::new();
-        for (s, e) in out {
-            match merged.last_mut() {
-                Some((_, le)) if s <= *le => *le = (*le).max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        Some(merged)
-    }
-
-    /// Invalidates every outstanding mark and clears the retained
-    /// intervals. Wired into GPU reset and address-space switches, the
-    /// same events that flush the software TLB.
+    /// Signals a GPU reset or address-space switch to whoever cleared the
+    /// map. Leaves the bits alone.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
-        self.intervals.clear();
-        self.trimmed = self.next_seq;
+    }
+
+    /// Marks every line clean. Leaves the epoch alone.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The lines `[first, end)` that `[pa, pa + len)` touches, clipped to
+    /// the map; `None` when that is empty.
+    fn span(&self, pa: u64, len: usize) -> Option<(u64, u64)> {
+        let lo = pa.max(self.base) - self.base;
+        let end = pa.saturating_add(len as u64);
+        let hi = end.saturating_sub(self.base).min(self.lines * DIRTY_LINE);
+        (lo < hi).then(|| (lo / DIRTY_LINE, hi.div_ceil(DIRTY_LINE)))
+    }
+
+    /// Marks every line `[pa, pa + len)` touches as written.
+    pub fn record(&mut self, pa: u64, len: usize) {
+        let Some((first, end)) = self.span(pa, len) else {
+            return;
+        };
+        let (fw, lw) = ((first / 64) as usize, ((end - 1) / 64) as usize);
+        let lo = !0u64 << (first % 64);
+        let hi = !0u64 >> (63 - (end - 1) % 64);
+        if fw == lw {
+            self.words[fw] |= lo & hi;
+        } else {
+            self.words[fw] |= lo;
+            self.words[fw + 1..lw].fill(!0);
+            self.words[lw] |= hi;
+        }
+    }
+
+    /// The written lines `[pa, pa + len)` touches, as sorted, merged,
+    /// line-aligned `(start, end)` physical ranges. Empty means clean.
+    pub fn runs(&self, pa: u64, len: usize) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        let Some((first, end)) = self.span(pa, len) else {
+            return out;
+        };
+        let mut line = first;
+        while line < end {
+            let bits = self.words[(line / 64) as usize] >> (line % 64);
+            if bits == 0 {
+                line = (line / 64 + 1) * 64;
+                continue;
+            }
+            line += u64::from(bits.trailing_zeros());
+            if line >= end {
+                break;
+            }
+            let start = line;
+            loop {
+                let shift = line % 64;
+                let ones = self.words[(line / 64) as usize] >> shift;
+                let n = u64::from(ones.trailing_ones());
+                line += n;
+                if n < 64 - shift || line >= end {
+                    break;
+                }
+            }
+            let stop = line.min(end);
+            out.push((
+                self.base + start * DIRTY_LINE,
+                self.base + stop * DIRTY_LINE,
+            ));
+        }
+        out
     }
 }
 
@@ -212,96 +128,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clean_until_written_then_dirty() {
-        let mut log = DirtyLog::default();
-        let mark = log.mark();
-        assert_eq!(log.dirty_since(mark, 0x1000, 64), DirtyVerdict::Clean);
-        log.record(0x1020, 8);
-        assert_eq!(log.dirty_since(mark, 0x1000, 64), DirtyVerdict::Dirty);
-        // Non-overlapping range stays clean.
-        assert_eq!(log.dirty_since(mark, 0x2000, 64), DirtyVerdict::Clean);
-        // A fresh mark no longer sees the old write.
-        let mark2 = log.mark();
-        assert_eq!(log.dirty_since(mark2, 0x1000, 64), DirtyVerdict::Clean);
-    }
-
-    #[test]
-    fn adjacent_writes_coalesce_and_refresh_seq() {
-        let mut log = DirtyLog::new(4);
-        log.record(0x1000, 16);
-        let mark = log.mark();
-        // Extends the tail interval: the merged interval must be visible
-        // to `mark` even though part of it predates it (conservative).
-        log.record(0x1010, 16);
-        assert_eq!(log.dirty_since(mark, 0x1000, 8), DirtyVerdict::Dirty);
-        // Still one retained interval.
-        assert_eq!(log.intervals.len(), 1);
-    }
-
-    #[test]
-    fn overflow_degrades_old_marks_to_unknown() {
-        let mut log = DirtyLog::new(2);
-        let mark = log.mark();
-        log.record(0x1000, 1);
-        log.record(0x3000, 1);
-        assert_eq!(log.dirty_since(mark, 0x5000, 1), DirtyVerdict::Clean);
-        log.record(0x5000, 1); // trims the 0x1000 interval
-        assert_eq!(log.dirty_since(mark, 0x9000, 1), DirtyVerdict::Unknown);
-        // A mark taken after the trim point still answers.
-        let mark2 = log.mark();
-        log.record(0x7000, 1);
-        assert_eq!(log.dirty_since(mark2, 0x7000, 1), DirtyVerdict::Dirty);
-        assert_eq!(log.dirty_since(mark2, 0x9000, 1), DirtyVerdict::Clean);
-    }
-
-    #[test]
-    fn interval_queries_clip_sort_and_merge() {
-        let mut log = DirtyLog::default();
-        let mark = log.mark();
-        log.record(0x2000, 0x10);
-        log.record(0x1000, 0x20); // out of address order
-        log.record(0x2008, 0x10); // overlaps the first
+    fn runs_cross_word_boundaries_and_clip_to_the_map() {
+        let mut map = DirtyLines::new(0x1000, 512 * 64);
+        map.record(0x1000 + 60 * 64, 200 * 64);
+        map.record(0x1000 + 511 * 64 + 5, 1000);
         assert_eq!(
-            log.dirty_intervals_since(mark, 0x1010, 0x1010),
-            Some(vec![(0x1010, 0x1020), (0x2000, 0x2018)]),
-            "clipped at the query start, merged where overlapping"
+            map.runs(0, usize::MAX),
+            vec![
+                (0x1000 + 60 * 64, 0x1000 + 260 * 64),
+                (0x1000 + 511 * 64, 0x1000 + 512 * 64)
+            ]
         );
         assert_eq!(
-            log.dirty_intervals_since(mark, 0x8000, 0x100),
-            Some(vec![]),
-            "clean range yields an empty list"
+            map.runs(0x1000 + 100 * 64 + 3, 1),
+            vec![(0x1000 + 100 * 64, 0x1000 + 101 * 64)]
         );
-        log.bump_epoch();
-        assert_eq!(log.dirty_intervals_since(mark, 0, 0x1000), None);
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_all_marks() {
-        let mut log = DirtyLog::default();
-        let mark = log.mark();
-        log.bump_epoch();
-        assert_eq!(log.dirty_since(mark, 0, 1), DirtyVerdict::Unknown);
-        let fresh = log.mark();
-        assert_eq!(log.dirty_since(fresh, 0, 1), DirtyVerdict::Clean);
-        assert_eq!(log.epoch(), 1);
-    }
-
-    #[test]
-    fn zero_length_writes_are_ignored() {
-        let mut log = DirtyLog::default();
-        let mark = log.mark();
-        log.record(0x1000, 0);
-        assert_eq!(log.dirty_since(mark, 0x1000, 16), DirtyVerdict::Clean);
-    }
-
-    #[test]
-    fn shrinking_cap_trims_immediately() {
-        let mut log = DirtyLog::new(8);
-        let mark = log.mark();
-        log.record(0x1000, 1);
-        log.record(0x3000, 1);
-        log.record(0x5000, 1);
-        log.set_cap(1);
-        assert_eq!(log.dirty_since(mark, 0x1000, 1), DirtyVerdict::Unknown);
+        map.clear();
+        assert!(map.runs(0, usize::MAX).is_empty());
     }
 }

@@ -36,7 +36,7 @@ pub mod mem;
 pub mod mmio;
 pub mod pmc;
 
-pub use dirty::{DirtyLog, DirtyMark, DirtyVerdict};
+pub use dirty::{DirtyLines, DIRTY_LINE};
 pub use frames::FrameAllocator;
 pub use irq::{IrqController, IrqLine};
 pub use mailbox::{Mailbox, MboxRequest, MboxStatus};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::dirty::{DirtyLog, DirtyMark, DirtyVerdict};
+use crate::dirty::DirtyLines;
 
 /// Page/frame size used throughout the machine (both GPU MMU formats map
 /// 4 KiB pages, like Mali's and v3d's smallest granule).
@@ -56,9 +56,9 @@ impl std::error::Error for MemError {}
 pub struct PhysMem {
     base: u64,
     bytes: Vec<u8>,
-    /// Write-interval log: every mutation path records here, so warm-
-    /// residency consumers can prove ranges unchanged between replays.
-    dirty: DirtyLog,
+    /// Dirty-line map: every mutation path records here, so the warm-
+    /// residency consumer can prove ranges unchanged between replays.
+    dirty: DirtyLines,
 }
 
 impl fmt::Debug for PhysMem {
@@ -84,17 +84,17 @@ impl PhysMem {
         PhysMem {
             base,
             bytes,
-            dirty: DirtyLog::default(),
+            dirty: DirtyLines::new(base, size),
         }
     }
 
-    /// The DRAM's dirty-range log (read-only view).
-    pub fn dirty(&self) -> &DirtyLog {
+    /// The DRAM's dirty-line map (read-only view).
+    fn dirty(&self) -> &DirtyLines {
         &self.dirty
     }
 
-    /// Mutable access to the dirty log (epoch bumps, cap tuning).
-    pub fn dirty_mut(&mut self) -> &mut DirtyLog {
+    /// Mutable access to the dirty-line map (clearing, epoch bumps).
+    fn dirty_mut(&mut self) -> &mut DirtyLines {
         &mut self.dirty
     }
 
@@ -411,47 +411,30 @@ impl SharedMem {
         }
     }
 
-    /// A [`DirtyMark`] covering every DRAM write from now on.
-    pub fn dirty_mark(&self) -> DirtyMark {
-        self.inner.read().dirty().mark()
+    /// Marks all of DRAM clean (see [`DirtyLines`]). The epoch is left
+    /// alone.
+    pub fn clear_dirty(&self) {
+        self.inner.write().dirty_mut().clear();
     }
 
-    /// Current dirty-log epoch (bumped on GPU reset / AS switch).
+    /// The lines of physical `[pa, pa+len)` written since the last
+    /// [`SharedMem::clear_dirty`], as sorted, merged, line-aligned
+    /// `(start, end)` ranges (see [`DirtyLines::runs`]).
+    pub fn dirty_lines(&self, pa: u64, len: usize) -> Vec<(u64, u64)> {
+        self.inner.read().dirty().runs(pa, len)
+    }
+
+    /// Current dirty-map epoch (bumped on GPU reset / AS switch).
     pub fn dirty_epoch(&self) -> u64 {
         self.inner.read().dirty().epoch()
     }
 
-    /// Was physical `[pa, pa+len)` written since `mark`? See
-    /// [`DirtyVerdict`] for the `Unknown` fallback semantics.
-    pub fn dirty_since(&self, mark: DirtyMark, pa: u64, len: usize) -> DirtyVerdict {
-        self.inner.read().dirty().dirty_since(mark, pa, len)
-    }
-
-    /// The written subranges of physical `[pa, pa+len)` since `mark`
-    /// (see [`DirtyLog::dirty_intervals_since`]).
-    pub fn dirty_intervals_since(
-        &self,
-        mark: DirtyMark,
-        pa: u64,
-        len: usize,
-    ) -> Option<Vec<(u64, u64)>> {
-        self.inner
-            .read()
-            .dirty()
-            .dirty_intervals_since(mark, pa, len)
-    }
-
-    /// Invalidates every outstanding [`DirtyMark`]. The GPU device models
-    /// call this on soft reset and address-space switches, alongside their
-    /// `SoftTlb` flushes.
+    /// Bumps the dirty-map epoch, telling whoever cleared the map that its
+    /// window no longer holds. The GPU device models call this on soft
+    /// reset and address-space switches, alongside their `SoftTlb`
+    /// flushes.
     pub fn bump_dirty_epoch(&self) {
         self.inner.write().dirty_mut().bump_epoch();
-    }
-
-    /// Bounds the dirty log's retained intervals (tests use a tiny cap to
-    /// force the `Unknown` → hash-fallback path).
-    pub fn set_dirty_log_cap(&self, cap: usize) {
-        self.inner.write().dirty_mut().set_cap(cap);
     }
 }
 
@@ -494,6 +477,8 @@ impl DerefMut for MemWriteGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn rw_roundtrip() {
@@ -567,5 +552,119 @@ mod tests {
         g.read(PAGE_SIZE as u64, &mut buf).unwrap();
         assert_eq!(&buf, b"def");
         assert!(g.read(4 * PAGE_SIZE as u64, &mut buf).is_err());
+    }
+
+    fn all_dirty(m: &SharedMem) -> Vec<(u64, u64)> {
+        m.dirty_lines(m.base(), m.size())
+    }
+
+    #[test]
+    fn each_mutation_path_marks_exactly_its_lines() {
+        let m = SharedMem::new(PhysMem::new(0x8000, 4 * PAGE_SIZE));
+        assert!(all_dirty(&m).is_empty());
+        m.write(0x8048, b"abc").unwrap();
+        assert_eq!(all_dirty(&m), vec![(0x8040, 0x8080)]);
+        m.clear_dirty();
+        m.write_u32(0x8100, 1).unwrap();
+        assert_eq!(all_dirty(&m), vec![(0x8100, 0x8140)]);
+        m.clear_dirty();
+        m.write_u64(0x81f8, 1).unwrap();
+        assert_eq!(all_dirty(&m), vec![(0x81c0, 0x8200)]);
+        m.clear_dirty();
+        m.fill(0x8400, 0x100, 0xAB).unwrap();
+        assert_eq!(all_dirty(&m), vec![(0x8400, 0x8500)]);
+        m.clear_dirty();
+        m.write_guard().slice_mut(0x8880, 0x41).unwrap()[0] = 1;
+        assert_eq!(all_dirty(&m), vec![(0x8880, 0x8900)]);
+    }
+
+    #[test]
+    fn straddling_writes_mark_every_line_they_touch() {
+        let m = SharedMem::new(PhysMem::new(0x8000, 4 * PAGE_SIZE));
+        m.write(0x803f, &[1, 2]).unwrap();
+        assert_eq!(all_dirty(&m), vec![(0x8000, 0x8080)]);
+        m.clear_dirty();
+        m.write_u64(0x8ffc, u64::MAX).unwrap();
+        assert_eq!(all_dirty(&m), vec![(0x8fc0, 0x9040)]);
+        // Queries see only the lines their own range touches.
+        assert_eq!(m.dirty_lines(0x9000, 1), vec![(0x9000, 0x9040)]);
+        assert!(m.dirty_lines(0x9040, PAGE_SIZE).is_empty());
+    }
+
+    #[test]
+    fn empty_and_out_of_range_writes_mark_nothing() {
+        let m = SharedMem::new(PhysMem::new(0x8000, 2 * PAGE_SIZE));
+        m.write(0x8040, &[]).unwrap();
+        m.fill(0x8080, 0, 0xFF).unwrap();
+        m.write_guard().slice_mut(0x80c0, 0).unwrap();
+        assert!(m.write(0x9ffe, &[0; 4]).is_err());
+        assert!(m.write(0x7ffe, &[0; 4]).is_err());
+        assert!(m.fill(0x9000, PAGE_SIZE + 1, 1).is_err());
+        assert!(m.write_guard().slice_mut(0x7fc0, 0x80).is_err());
+        assert!(m.write_u64(u64::MAX - 3, 0).is_err());
+        assert!(all_dirty(&m).is_empty());
+    }
+
+    #[test]
+    fn clearing_leaves_the_epoch_and_bumping_leaves_the_lines() {
+        let m = SharedMem::new(PhysMem::new(0, PAGE_SIZE));
+        m.bump_dirty_epoch();
+        m.write(0x10, &[1]).unwrap();
+        m.bump_dirty_epoch();
+        assert_eq!(all_dirty(&m), vec![(0, 0x40)]);
+        m.clear_dirty();
+        assert_eq!(m.dirty_epoch(), 2);
+        assert!(all_dirty(&m).is_empty());
+    }
+
+    /// Naive model of a query: the written lines (indices from `base`)
+    /// overlapping `[pa, pa + len)`, merged where adjacent.
+    fn model_lines(written: &BTreeSet<u64>, base: u64, pa: u64, len: usize) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for &line in written {
+            let (s, e) = (base + line * 64, base + (line + 1) * 64);
+            if s >= pa.saturating_add(len as u64) || e <= pa {
+                continue;
+            }
+            match out.last_mut() {
+                Some((_, last)) if *last == s => *last = e,
+                _ => out.push((s, e)),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn dirty_lines_match_a_line_set_model(
+            ops in proptest::collection::vec(((0u8..8, 0u64..33_280), 0usize..12_000), 1..48),
+        ) {
+            const BASE: u64 = 0x4000;
+            const SIZE: usize = 8 * PAGE_SIZE;
+            let m = SharedMem::new(PhysMem::new(BASE, SIZE));
+            let mut written = BTreeSet::new();
+            for ((kind, off), len) in ops {
+                // From 256 bytes below DRAM to 256 bytes past its end.
+                let pa = BASE - 256 + off;
+                let ok = match kind {
+                    0 => {
+                        m.clear_dirty();
+                        written.clear();
+                        continue;
+                    }
+                    1 | 2 => m.write(pa, &vec![kind; len]).is_ok(),
+                    3 => m.fill(pa, len, 0x5A).is_ok(),
+                    4 => m.write_guard().slice_mut(pa, len).is_ok(),
+                    _ => {
+                        assert_eq!(m.dirty_lines(pa, len), model_lines(&written, BASE, pa, len));
+                        continue;
+                    }
+                };
+                if ok {
+                    written.extend((0..len as u64).map(|b| (pa - BASE + b) / 64));
+                }
+            }
+            assert_eq!(all_dirty(&m), model_lines(&written, BASE, BASE, SIZE));
+        }
     }
 }

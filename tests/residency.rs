@@ -1,17 +1,18 @@
 //! Cross-batch warm residency: consecutive `replay_batch` calls for the
-//! same recording elide the prologue when the DRAM dirty log proves the
-//! machine's memory unchanged — and the result must be bit-identical to a
-//! cold (residency-disabled) replayer on both SKUs (proptest), including:
+//! same recording elide the prologue when the DRAM dirty-line map proves
+//! the machine's memory unchanged — and the result must be bit-identical
+//! to a cold (residency-disabled) replayer on both SKUs (proptest),
+//! including:
 //!
-//! * an adversarial external write that dirties one page of a dump
-//!   between batches — exactly that dump re-uploads, everything else
-//!   stays elided, outputs stay bit-exact;
-//! * a §5.4 fault mid-batch — the recovery reset bumps the dirty-log
+//! * an adversarial external write that dirties one byte of a dump
+//!   between batches, behind thousands of writes to unmapped DRAM —
+//!   exactly that line re-uploads, everything else stays elided, outputs
+//!   stay bit-exact;
+//! * a §5.4 fault mid-batch — the recovery reset bumps the dirty-map
 //!   epoch, so the *next* batch must drop residency and run the full
 //!   prologue;
-//! * a dirty-log overflow — verdicts degrade to `Unknown` and the
-//!   content-hash fallback either proves the dump unchanged (still
-//!   elided) or forces the full prologue on a mismatch.
+//! * two replayers interleaving batches on one machine — each batch
+//!   switches the page-table root, so neither may ever elide.
 
 use std::sync::OnceLock;
 
@@ -206,9 +207,9 @@ fn gpu_va_to_pa(machine: &Machine, va: u64) -> u64 {
 /// chunk_len)>)`.
 type DumpCleanliness = Vec<(usize, bool, Option<(u64, usize)>)>;
 
-/// Per-dump page cleanliness across the last batch, checked against
-/// `mark` through the public dirty-log API.
-fn dump_cleanliness(machine: &Machine, bytes: &[u8], mark: gr_soc::DirtyMark) -> DumpCleanliness {
+/// Per-dump page cleanliness since the last batch's residency anchor
+/// cleared the dirty-line map, read through the public API.
+fn dump_cleanliness(machine: &Machine, bytes: &[u8]) -> DumpCleanliness {
     let rec = Recording::from_bytes(bytes).unwrap();
     rec.dumps
         .iter()
@@ -220,7 +221,7 @@ fn dump_cleanliness(machine: &Machine, bytes: &[u8], mark: gr_soc::DirtyMark) ->
                 let va = d.va + off as u64;
                 let len = (d.bytes.len() - off).min(4096 - (va as usize & 0xFFF));
                 let pa = gpu_va_to_pa(machine, va);
-                if machine.mem().dirty_since(mark, pa, len) == gr_soc::DirtyVerdict::Clean {
+                if machine.mem().dirty_lines(pa, len).is_empty() {
                     clean_page.get_or_insert((va, len));
                 } else {
                     fully_clean = false;
@@ -239,7 +240,6 @@ fn dirty_one_page_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, s
 
     let mut ios = ios_for(&warm, id, &inputs);
     warm.replay_batch(id, &mut ios).unwrap();
-    let mark = machine.mem().dirty_mark();
     let mut ios = ios_for(&warm, id, &inputs);
     let steady = warm.replay_batch(id, &mut ios).unwrap();
     assert!(steady.prologue_skipped > 0, "{steady:?}");
@@ -248,13 +248,23 @@ fn dirty_one_page_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, s
     // batch provably kept clean (and therefore elided). Prefer a fully
     // clean dump (its whole upload was skipped); fall back to a clean
     // page of a partially-dirty dump (only its dirty subranges re-upload).
-    let lanes = dump_cleanliness(&machine, &rec.bytes, mark);
+    let lanes = dump_cleanliness(&machine, &rec.bytes);
     let (poke_page_va, _, dump_was_fully_clean) = lanes
         .iter()
         .filter_map(|(_, clean, page)| page.map(|(va, len)| (va, len, *clean)))
         .max_by_key(|&(_, len, clean)| (clean, len))
         .expect("steady-state batches must keep at least one dump page clean");
-    // Poke one byte mid-page, off the 64-byte transfer-line grid.
+    // First, 20,000 scattered single-byte writes to DRAM no frame backs,
+    // far more than a bounded write log could keep: the map is exact, so
+    // none of them may cost a re-upload.
+    let scratch = machine.mem().end() - 4 * 1024 * 1024;
+    for page in (scratch..machine.mem().end()).step_by(4096) {
+        assert!(!machine.frames().lock().is_allocated(page));
+    }
+    for i in 0..20_000u64 {
+        machine.mem().write(scratch + i * 200, &[i as u8]).unwrap();
+    }
+    // Then poke one byte mid-page, off the 64-byte transfer-line grid.
     let poke_va = poke_page_va + 0x7B3;
     let pa = gpu_va_to_pa(&machine, poke_va);
     machine.mem().write(pa, &[0xAB]).unwrap();
@@ -345,79 +355,54 @@ fn fault_rewarm_drops_residency() {
     warm.cleanup();
 }
 
-/// Overflowing the dirty log degrades every verdict to `Unknown`; the
-/// hash fallback proves untouched dumps unchanged (still elided) and
-/// catches a real change (that dump re-uploads in full and heals),
-/// bit-exact either way.
-#[test]
-fn log_overflow_falls_back_to_hash_check() {
-    let rec = mali();
-    let (mut warm, id, machine) =
-        make_replayer(&sku::MALI_G71, EnvKind::UserLevel, &rec.bytes, 93, true);
-    let inputs: Vec<Vec<f32>> = (0..2)
-        .map(|k| random_input(rec.net.input_len(), 930 + k))
+/// Two replayers on one machine interleave batches of the same
+/// recording. The dirty-line map has one window per machine, cleared by
+/// whichever replayer anchored last; every batch switches the page-table
+/// root to its own replayer's tables, which bumps the epoch, so neither
+/// replayer may ever trust an anchor — and every output stays bit-exact.
+fn two_replayers_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, seed: u64) {
+    let machine = Machine::with_dram(sku_ref, seed, TEST_DRAM);
+    let mut replayers: Vec<(Replayer, usize)> = (0..2)
+        .map(|_| {
+            let environment = Environment::new(env, machine.clone()).unwrap();
+            let mut replayer = Replayer::new(environment);
+            replayer.set_residency(true);
+            let id = replayer.load_bytes(&rec.bytes).unwrap();
+            (replayer, id)
+        })
         .collect();
-
-    let mut ios = ios_for(&warm, id, &inputs);
-    warm.replay_batch(id, &mut ios).unwrap();
-    let mark = machine.mem().dirty_mark();
-    let mut ios = ios_for(&warm, id, &inputs);
-    let steady = warm.replay_batch(id, &mut ios).unwrap();
-    assert!(steady.prologue_skipped > 0, "{steady:?}");
-    // Identify a provably-clean dump while the log can still answer.
-    let parsed = Recording::from_bytes(&rec.bytes).unwrap();
-    let (dump_va, dump_len) = dump_cleanliness(&machine, &rec.bytes, mark)
-        .into_iter()
-        .filter(|(_, clean, _)| *clean)
-        .map(|(i, _, _)| (parsed.dumps[i].va, parsed.dumps[i].bytes.len()))
-        .max_by_key(|&(_, len)| len)
-        .expect("the Mali MNIST recording keeps its weights dump clean");
-
-    // Shrink the log so the inter-batch writes always overflow it.
-    machine.mem().set_dirty_log_cap(2);
-    // Scattered writes to unmapped DRAM: defeat coalescing, force trims.
-    let scratch = machine.mem().base() + (TEST_DRAM as u64) - 8 * 4096;
-    for i in 0..8u64 {
-        machine.mem().write(scratch + i * 4096, &[i as u8]).unwrap();
+    for round in 0..3u64 {
+        for (r, (replayer, id)) in replayers.iter_mut().enumerate() {
+            let inputs: Vec<Vec<f32>> = (0..2)
+                .map(|k| random_input(rec.net.input_len(), seed + round * 10 + r as u64 * 3 + k))
+                .collect();
+            let mut ios = ios_for(replayer, *id, &inputs);
+            let report = replayer.replay_batch(*id, &mut ios).unwrap();
+            assert!(report.amortized);
+            assert_eq!(
+                report.prologue_skipped, 0,
+                "round {round} replayer {r}: the other replayer ran in between: {report:?}"
+            );
+            for (k, input) in inputs.iter().enumerate() {
+                assert_eq!(
+                    ios[k].output_f32(0).unwrap(),
+                    cpu_ref::cpu_infer(&rec.net, input),
+                    "round {round} replayer {r} element {k}"
+                );
+            }
+        }
     }
+    for (replayer, _) in replayers {
+        replayer.cleanup();
+    }
+}
 
-    let mut ios = ios_for(&warm, id, &inputs);
-    let hashed = warm.replay_batch(id, &mut ios).unwrap();
-    assert_eq!(
-        hashed.prologue_skipped, steady.prologue_skipped,
-        "hash fallback must keep unchanged dumps elided: {hashed:?} vs {steady:?}"
-    );
-    for (k, input) in inputs.iter().enumerate() {
-        assert_eq!(
-            ios[k].output_f32(0).unwrap(),
-            cpu_ref::cpu_infer(&rec.net, input)
-        );
-    }
+#[test]
+fn two_replayers_on_one_machine_never_elide_mali() {
+    two_replayers_case(&sku::MALI_G71, EnvKind::UserLevel, mali(), 7300);
+}
 
-    // Now actually corrupt a clean dump's page while the log is
-    // overflowed: the hash mismatch must force that dump's full
-    // re-upload (healing the corruption); the rest stays elided.
-    let pa = gpu_va_to_pa(&machine, dump_va + dump_len as u64 / 2);
-    machine.mem().write(pa, &[0xCD]).unwrap();
-    for i in 0..8u64 {
-        machine
-            .mem()
-            .write(scratch + i * 4096, &[0x40 | i as u8])
-            .unwrap();
-    }
-    let mut ios = ios_for(&warm, id, &inputs);
-    let mismatched = warm.replay_batch(id, &mut ios).unwrap();
-    assert_eq!(
-        mismatched.prologue_skipped,
-        steady.prologue_skipped - 1,
-        "the mismatched dump must re-upload, the rest stays elided: {mismatched:?}"
-    );
-    for (k, input) in inputs.iter().enumerate() {
-        assert_eq!(
-            ios[k].output_f32(0).unwrap(),
-            cpu_ref::cpu_infer(&rec.net, input),
-            "element {k} corrupted despite the hash-mismatch re-upload"
-        );
-    }
-    warm.cleanup();
+#[test]
+fn two_replayers_on_one_machine_never_elide_v3d() {
+    two_replayers_case(&sku::V3D_RPI4, EnvKind::KernelLevel, v3d(), 7400);
 }
