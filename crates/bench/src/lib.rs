@@ -291,32 +291,41 @@ fn brace_delta(line: &str) -> i64 {
     delta
 }
 
+/// Non-test SLoC under workspace directory `dir` (`tests/` and `benches/`
+/// directories and `#[cfg(test)]` items are skipped).
+fn crate_sloc(dir: &str) -> usize {
+    fn walk(p: &std::path::Path, acc: &mut usize) {
+        let Ok(entries) = std::fs::read_dir(p) else {
+            return;
+        };
+        for path in entries.flatten().map(|e| e.path()) {
+            if path.is_dir() {
+                if !path.ends_with("tests") && !path.ends_with("benches") {
+                    walk(&path, acc);
+                }
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                if let Ok(content) = std::fs::read_to_string(&path) {
+                    *acc += sloc(&content);
+                }
+            }
+        }
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut acc = 0;
+    walk(&root.join(dir), &mut acc);
+    acc
+}
+
+/// Size budget for the target-side replayer (`crates/core`, non-test
+/// SLoC as Table 4 counts it). The paper's thesis is a tiny stack, so a
+/// change that grows the replayer past this must shrink something else
+/// or raise the budget on purpose; a tier-1 test enforces it.
+pub const REPLAYER_SLOC_BUDGET: usize = 1_700;
+
 /// Table 4: codebase comparison by counting workspace SLoC of non-test
 /// code (`tests/` and `benches/` directories and `#[cfg(test)]` items are
 /// skipped).
 pub fn tab04_codebase() -> String {
-    fn crate_sloc(dir: &str) -> usize {
-        fn walk(p: &std::path::Path, acc: &mut usize) {
-            let Ok(entries) = std::fs::read_dir(p) else {
-                return;
-            };
-            for path in entries.flatten().map(|e| e.path()) {
-                if path.is_dir() {
-                    if !path.ends_with("tests") && !path.ends_with("benches") {
-                        walk(&path, acc);
-                    }
-                } else if path.extension().is_some_and(|x| x == "rs") {
-                    if let Ok(content) = std::fs::read_to_string(&path) {
-                        *acc += sloc(&content);
-                    }
-                }
-            }
-        }
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut acc = 0;
-        walk(&root.join(dir), &mut acc);
-        acc
-    }
     let runtime = crate_sloc("crates/stack/src/runtime");
     let driver = crate_sloc("crates/stack/src/driver");
     let mlfw = crate_sloc("crates/mlfw/src");
@@ -351,7 +360,8 @@ pub fn tab04_codebase() -> String {
     );
     let _ = writeln!(
         out,
-        "\nReplayer/stack ratio: {:.1}% (paper: a few K SLoC replacing a 45K SLoC driver + 48 MB runtime).\n",
+        "\nReplayer/stack ratio: {:.1}% (paper: a few K SLoC replacing a 45K SLoC driver + 48 MB runtime).\n\n\
+         Replayer budget: {REPLAYER_SLOC_BUDGET} SLoC (a tier-1 test fails above it).\n",
         100.0 * replayer as f64 / (runtime + driver + mlfw) as f64
     );
     out
@@ -917,6 +927,15 @@ const AFTER: u8 = 1;
         assert_eq!(sloc(src), 4, "counted()'s three lines and AFTER");
         let test_module = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
         assert_eq!(sloc(test_module), 0);
+    }
+
+    #[test]
+    fn replayer_fits_its_sloc_budget() {
+        let replayer = crate_sloc("crates/core/src");
+        assert!(
+            replayer <= REPLAYER_SLOC_BUDGET,
+            "Table 4 counts the replayer at {replayer} SLoC, over its budget of {REPLAYER_SLOC_BUDGET}"
+        );
     }
 
     #[test]

@@ -16,8 +16,7 @@ pub const ACTION_DISPATCH: SimDuration = SimDuration::from_nanos(300);
 /// pre-resolved batch suffix (`replay_batch`). Set together with batched
 /// replay as a third of [`ACTION_DISPATCH`], so the dispatch part of the
 /// batched-vs-sequential virtual gain (`tests/virtual_gates.rs`) follows
-/// from this value, not from a measurement. Bounds checks, dead-upload
-/// lookups, and payload
+/// from this value, not from a measurement. Bounds checks and payload
 /// validation were done once when the batch started, so warm re-runs are
 /// a branch-light sweep over resolved actions. The difference to
 /// [`ACTION_DISPATCH`] is charged once per suffix action at batch start.

@@ -13,6 +13,8 @@ use gr_gpu::sku::GpuFamilyKind;
 use gr_gpu::{mali, v3d};
 use gr_sim::SimDuration;
 
+use crate::iface::NanoIface;
+
 /// A revocable GPU ownership token shared between the replayer and the
 /// OS/arbiter (interactive apps ask the arbiter, which revokes the lease).
 #[derive(Debug, Clone, Default)]
@@ -49,6 +51,15 @@ impl GpuLease {
 /// Returns the delay the interactive app perceived.
 pub fn preempt_gpu(machine: &Machine) -> SimDuration {
     let t0 = machine.now();
+    let poll = |reg: u32, mask: u32, want: u32| {
+        machine.poll_reg(
+            reg,
+            mask,
+            want,
+            SimDuration::from_micros(2),
+            SimDuration::from_millis(5),
+        );
+    };
     match machine.sku().family {
         GpuFamilyKind::Mali => {
             machine.gpu_write32(mali::regs::JS0_COMMAND, mali::regs::JS_CMD_HARD_STOP);
@@ -56,49 +67,19 @@ pub fn preempt_gpu(machine: &Machine) -> SimDuration {
                 mali::regs::GPU_COMMAND,
                 mali::regs::GPU_CMD_CLEAN_INV_CACHES,
             );
-            machine.poll_reg(
-                mali::regs::GPU_IRQ_RAWSTAT,
-                mali::regs::GPU_IRQ_CLEAN_CACHES_COMPLETED,
-                mali::regs::GPU_IRQ_CLEAN_CACHES_COMPLETED,
-                SimDuration::from_micros(2),
-                SimDuration::from_millis(5),
-            );
-            machine.gpu_write32(
-                mali::regs::GPU_IRQ_CLEAR,
-                mali::regs::GPU_IRQ_CLEAN_CACHES_COMPLETED,
-            );
-            machine.gpu_write32(mali::regs::GPU_COMMAND, mali::regs::GPU_CMD_SOFT_RESET);
-            machine.poll_reg(
-                mali::regs::GPU_IRQ_RAWSTAT,
-                mali::regs::GPU_IRQ_RESET_COMPLETED,
-                mali::regs::GPU_IRQ_RESET_COMPLETED,
-                SimDuration::from_micros(2),
-                SimDuration::from_millis(5),
-            );
-            machine.gpu_write32(
-                mali::regs::GPU_IRQ_CLEAR,
-                mali::regs::GPU_IRQ_RESET_COMPLETED,
-            );
+            let done = mali::regs::GPU_IRQ_CLEAN_CACHES_COMPLETED;
+            poll(mali::regs::GPU_IRQ_RAWSTAT, done, done);
+            machine.gpu_write32(mali::regs::GPU_IRQ_CLEAR, done);
         }
         GpuFamilyKind::V3d => {
             machine.gpu_write32(v3d::regs::CACHE_CLEAN, 1);
-            machine.poll_reg(
-                v3d::regs::CACHE_CLEAN,
-                1,
-                0,
-                SimDuration::from_micros(2),
-                SimDuration::from_millis(5),
-            );
-            machine.gpu_write32(v3d::regs::CTL_RESET, 1);
-            machine.poll_reg(
-                v3d::regs::CT0CS,
-                v3d::regs::CS_RESETTING,
-                0,
-                SimDuration::from_micros(2),
-                SimDuration::from_millis(5),
-            );
+            poll(v3d::regs::CACHE_CLEAN, 1, 0);
         }
     }
+    // The reset sequence itself lives with the rest of the family
+    // register knowledge; a reset that does not complete still hands the
+    // GPU over (the next owner resets it again).
+    let _ = NanoIface::for_family(machine.sku().family).soft_reset(machine);
     machine.now() - t0
 }
 

@@ -272,6 +272,16 @@ impl NanoIface {
         }
     }
 
+    /// Clears the first-level entry covering `va`: undoes the L2 table
+    /// allocation [`NanoIface::map_page_raw`] reported for it (Mali; the
+    /// v3d table is single-level and allocated up front).
+    pub(crate) fn unmap_table_raw(self, machine: &Machine, root_pa: u64, va: u64) {
+        if self == NanoIface::Mali {
+            let l1_pa = root_pa + ((va >> MALI_L1_SHIFT) & MALI_IDX_MASK) * 8;
+            let _ = machine.mem().write_u64(l1_pa, 0);
+        }
+    }
+
     /// The VA-space limit of the family.
     pub fn va_limit(self) -> u64 {
         match self {

@@ -43,4 +43,4 @@ pub use handoff::{preempt_gpu, GpuLease};
 pub use iface::NanoIface;
 pub use patch::{patch_recording, PatchOptions};
 pub use replayer::{BatchReport, IsolatedBatchReport, ReplayIo, ReplayReport, Replayer};
-pub use verify::{PrologueRange, VerifyReport};
+pub use verify::VerifyReport;

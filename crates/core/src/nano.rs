@@ -75,7 +75,8 @@ impl NanoDriver {
     ///
     /// # Errors
     ///
-    /// Fails on OOM or a conflicting existing mapping.
+    /// Fails on OOM or a conflicting existing mapping. A failed map is
+    /// rolled back: it leaves no PTE and no frame (data or table) behind.
     pub fn map(&mut self, va: u64, flags: &[u16]) -> Result<(), ReplayError> {
         if let Some(existing) = self.regions.get(&va) {
             if existing.pages == flags.len() {
@@ -87,25 +88,18 @@ impl NanoDriver {
         }
         self.machine
             .advance(costs::MAP_PER_PAGE * flags.len() as u64);
-        let mut pas = Vec::with_capacity(flags.len());
-        for (i, &bits) in flags.iter().enumerate() {
-            let pa = self
-                .machine
-                .frames()
-                .lock()
-                .alloc_zeroed(self.machine.mem())
-                .map_err(|_| ReplayError::OutOfMemory)?
-                .ok_or(ReplayError::OutOfMemory)?;
-            if let Some(table_frame) = self.iface.map_page_raw(
-                &self.machine,
-                self.root_pa,
-                va + (i * PAGE_SIZE) as u64,
-                pa,
-                bits,
-            )? {
-                self.table_frames.push(table_frame);
+        let tables0 = self.table_frames.len();
+        let (mut pas, mut new_tables) = (Vec::with_capacity(flags.len()), Vec::new());
+        if let Err(e) = self.map_pages(va, flags, &mut pas, &mut new_tables) {
+            self.unmap_pages(va, &pas);
+            for table_va in new_tables {
+                self.iface
+                    .unmap_table_raw(&self.machine, self.root_pa, table_va);
             }
-            pas.push(pa);
+            for f in self.table_frames.drain(tables0..) {
+                let _ = self.machine.frames().lock().free(f);
+            }
+            return Err(e);
         }
         self.regions.insert(
             va,
@@ -115,6 +109,38 @@ impl NanoDriver {
                 flags: flags.to_vec(),
             },
         );
+        Ok(())
+    }
+
+    /// Allocates a zeroed frame per page and writes its PTE, recording
+    /// every frame in `pas` and the page VA of every page-table frame it
+    /// allocates in `new_tables` as it goes, so a failure part-way can be
+    /// rolled back.
+    fn map_pages(
+        &mut self,
+        va: u64,
+        flags: &[u16],
+        pas: &mut Vec<u64>,
+        new_tables: &mut Vec<u64>,
+    ) -> Result<(), ReplayError> {
+        for (i, &bits) in flags.iter().enumerate() {
+            let page_va = va + (i * PAGE_SIZE) as u64;
+            let pa = self
+                .machine
+                .frames()
+                .lock()
+                .alloc_zeroed(self.machine.mem())
+                .map_err(|_| ReplayError::OutOfMemory)?
+                .ok_or(ReplayError::OutOfMemory)?;
+            pas.push(pa);
+            if let Some(table_frame) =
+                self.iface
+                    .map_page_raw(&self.machine, self.root_pa, page_va, pa, bits)?
+            {
+                self.table_frames.push(table_frame);
+                new_tables.push(page_va);
+            }
+        }
         Ok(())
     }
 
@@ -128,7 +154,14 @@ impl NanoDriver {
             .regions
             .remove(&va)
             .ok_or_else(|| ReplayError::Verify(format!("unmap of unmapped {va:#x}")))?;
-        for (i, pa) in region.pas.iter().enumerate() {
+        self.unmap_pages(va, &region.pas);
+        Ok(())
+    }
+
+    /// Clears the PTEs of the pages from `va` on that `pas` back, frees
+    /// those frames and shoots down the TLB.
+    fn unmap_pages(&self, va: u64, pas: &[u64]) {
+        for (i, pa) in pas.iter().enumerate() {
             self.iface
                 .unmap_page_raw(&self.machine, self.root_pa, va + (i * PAGE_SIZE) as u64);
             let _ = self.machine.frames().lock().free(*pa);
@@ -137,7 +170,6 @@ impl NanoDriver {
         // could survive into a mapping that later recycles this VA (or
         // leak writes into whoever now owns the freed frames).
         self.iface.tlb_shootdown(&self.machine);
-        Ok(())
     }
 
     /// Rewrites every PTE from the driver's bookkeeping — the §5.4
@@ -166,17 +198,36 @@ impl NanoDriver {
         Ok(())
     }
 
-    fn locate(&self, va: u64) -> Result<(u64, usize), ReplayError> {
-        let (base, region) = self
-            .regions
-            .range(..=va)
-            .next_back()
-            .ok_or_else(|| ReplayError::Io(format!("va {va:#x} unmapped")))?;
-        let off = (va - base) as usize;
-        if off >= region.pages * PAGE_SIZE {
-            return Err(ReplayError::Io(format!("va {va:#x} unmapped")));
+    /// Walks the GPU-virtual range `[va, va+len)` page by page, handing
+    /// `f` each piece as `(pa, offset_into_range, len)`.
+    fn walk(
+        &self,
+        va: u64,
+        len: usize,
+        mut f: impl FnMut(u64, usize, usize) -> Result<(), ReplayError>,
+    ) -> Result<(), ReplayError> {
+        let mut done = 0usize;
+        while done < len {
+            let cur = va + done as u64;
+            let unmapped = || ReplayError::Io(format!("va {cur:#x} unmapped"));
+            let (base, region) = self
+                .regions
+                .range(..=cur)
+                .next_back()
+                .ok_or_else(unmapped)?;
+            let off = (cur - base) as usize;
+            if off >= region.pages * PAGE_SIZE {
+                return Err(unmapped());
+            }
+            let chunk = (PAGE_SIZE - off % PAGE_SIZE).min(len - done);
+            f(
+                region.pas[off / PAGE_SIZE] + (off % PAGE_SIZE) as u64,
+                done,
+                chunk,
+            )?;
+            done += chunk;
         }
-        Ok((*base, off))
+        Ok(())
     }
 
     /// Writes `data` at GPU virtual address `va` (dump loads / input
@@ -188,19 +239,10 @@ impl NanoDriver {
     /// Fails when the range is unmapped.
     pub fn write_va(&self, va: u64, data: &[u8]) -> Result<(), ReplayError> {
         let mut g = self.machine.mem().write_guard();
-        let mut done = 0usize;
-        while done < data.len() {
-            let cur = va + done as u64;
-            let (base, off) = self.locate(cur)?;
-            let region = &self.regions[&base];
-            let page = off / PAGE_SIZE;
-            let chunk = (PAGE_SIZE - off % PAGE_SIZE).min(data.len() - done);
-            let pa = region.pas[page] + (off % PAGE_SIZE) as u64;
-            g.write(pa, &data[done..done + chunk])
-                .map_err(|_| ReplayError::OutOfMemory)?;
-            done += chunk;
-        }
-        Ok(())
+        self.walk(va, data.len(), |pa, at, n| {
+            g.write(pa, &data[at..at + n])
+                .map_err(|_| ReplayError::OutOfMemory)
+        })
     }
 
     /// Reads `out.len()` bytes from `va` (output extraction, checkpoints).
@@ -211,20 +253,10 @@ impl NanoDriver {
     /// Fails when the range is unmapped.
     pub fn read_va(&self, va: u64, out: &mut [u8]) -> Result<(), ReplayError> {
         let g = self.machine.mem().read_guard();
-        let len = out.len();
-        let mut done = 0usize;
-        while done < len {
-            let cur = va + done as u64;
-            let (base, off) = self.locate(cur)?;
-            let region = &self.regions[&base];
-            let page = off / PAGE_SIZE;
-            let chunk = (PAGE_SIZE - off % PAGE_SIZE).min(len - done);
-            let pa = region.pas[page] + (off % PAGE_SIZE) as u64;
-            g.read(pa, &mut out[done..done + chunk])
-                .map_err(|_| ReplayError::OutOfMemory)?;
-            done += chunk;
-        }
-        Ok(())
+        self.walk(va, out.len(), |pa, at, n| {
+            g.read(pa, &mut out[at..at + n])
+                .map_err(|_| ReplayError::OutOfMemory)
+        })
     }
 
     /// Resolves the GPU-virtual range `[va, va+len)` to its backing
@@ -237,22 +269,13 @@ impl NanoDriver {
     /// Fails when any part of the range is unmapped.
     pub fn phys_ranges(&self, va: u64, len: u64) -> Result<Vec<(u64, usize)>, ReplayError> {
         let mut out: Vec<(u64, usize)> = Vec::new();
-        let mut done = 0u64;
-        while done < len {
-            let cur = va + done;
-            let (base, off) = self.locate(cur)?;
-            let region = &self.regions[&base];
-            let page = off / PAGE_SIZE;
-            let chunk = ((PAGE_SIZE - off % PAGE_SIZE) as u64).min(len - done);
-            let pa = region.pas[page] + (off % PAGE_SIZE) as u64;
+        self.walk(va, len as usize, |pa, _, n| {
             match out.last_mut() {
-                Some((last_pa, last_len)) if *last_pa + *last_len as u64 == pa => {
-                    *last_len += chunk as usize;
-                }
-                _ => out.push((pa, chunk as usize)),
+                Some((last_pa, last_len)) if *last_pa + *last_len as u64 == pa => *last_len += n,
+                _ => out.push((pa, n)),
             }
-            done += chunk;
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -345,6 +368,47 @@ mod tests {
         nano.map(0x30_0000, &[0xB; 4]).unwrap();
         nano.release();
         assert_eq!(machine.frames().lock().used(), before);
+    }
+
+    /// A map that runs out of frames part-way must hand back every frame
+    /// it took (data and page-table) and leave no valid PTE behind.
+    #[test]
+    fn failed_map_rolls_back_frames_and_ptes() {
+        use gr_gpu::sku::V3D_RPI4;
+        const VA: u64 = 0x10_0000;
+        for sku in [&MALI_G71, &V3D_RPI4] {
+            let machine = Machine::with_dram(sku, 2, 4 * 1024 * 1024);
+            let iface = NanoIface::for_family(sku.family);
+            let before = machine.frames().lock().used();
+            let mut nano = NanoDriver::new(machine.clone(), iface).unwrap();
+            let (used, pages) = (machine.frames().lock().used(), nano.phys_pages());
+            let err = nano.map(VA, &[0xF; 2048]).unwrap_err();
+            assert!(
+                matches!(err, ReplayError::OutOfMemory),
+                "{}: {err}",
+                sku.name
+            );
+            assert_eq!(machine.frames().lock().used(), used, "{}", sku.name);
+            assert_eq!(nano.phys_pages(), pages, "{}", sku.name);
+            let mapped = match iface {
+                NanoIface::Mali => gr_gpu::mali::pgtable::translate(
+                    machine.mem(),
+                    gr_gpu::PteFormat::MaliStandard,
+                    nano.root_pa,
+                    VA,
+                )
+                .is_some(),
+                NanoIface::V3d => {
+                    gr_gpu::v3d::pgtable::translate(machine.mem(), nano.root_pa, VA).is_some()
+                }
+            };
+            assert!(!mapped, "{}: a PTE survived the rollback", sku.name);
+            assert!(nano.write_va(VA, &[1]).is_err());
+            nano.map(VA, &[0xF; 16]).unwrap();
+            nano.write_va(VA, &[1]).unwrap();
+            nano.release();
+            assert_eq!(machine.frames().lock().used(), before, "{}", sku.name);
+        }
     }
 
     #[test]

@@ -166,15 +166,10 @@ pub struct BatchReport {
 
 struct Loaded {
     rec: Recording,
-    /// Load-time verifier facts: provably-dead `Upload` actions (elided
-    /// during replay) and the warm-batch prologue/suffix split.
-    dead_uploads: std::collections::HashSet<usize>,
+    /// Load-time verifier facts: the warm-batch prologue/suffix split and
+    /// whether the prologue's shape admits cross-batch residency (see
+    /// `VerifyReport::residency_safe`).
     batch_split: Option<usize>,
-    /// Backing ranges of prologue `Upload` actions, consulted by the
-    /// residency state machine (empty when unbatchable).
-    prologue_ranges: Vec<verify::PrologueRange>,
-    /// Verifier fact: the prologue's shape admits cross-batch residency
-    /// (see `VerifyReport::residency_safe`).
     residency_safe: bool,
 }
 
@@ -261,11 +256,6 @@ impl Replayer {
         }
     }
 
-    /// `true` when cross-batch warm residency is enabled.
-    pub fn residency_enabled(&self) -> bool {
-        self.residency_enabled
-    }
-
     /// The lease the OS/arbiter uses to preempt this replayer.
     pub fn lease(&self) -> GpuLease {
         self.lease.clone()
@@ -311,9 +301,7 @@ impl Replayer {
             .advance(costs::VERIFY_PER_ACTION * report.actions as u64);
         self.loaded.push(Loaded {
             rec,
-            dead_uploads: report.dead_uploads.into_iter().collect(),
             batch_split: report.batch_split,
-            prologue_ranges: report.prologue_ranges,
             residency_safe: report.residency_safe,
         });
         Ok(self.loaded.len() - 1)
@@ -337,36 +325,17 @@ impl Replayer {
         machine.advance(self.env.replay_entry_cost());
         let t0 = machine.now();
         let end = self.loaded[id].rec.actions.len();
-        let mut attempt = 0u32;
-        loop {
-            let delay_scale = 1u64 << attempt; // inject delays on retries
-            match self.run_span(id, io, delay_scale, 0, end, 0, costs::ACTION_DISPATCH) {
-                Ok((jobs, checkpoints, startup)) => {
-                    return Ok(ReplayReport {
-                        actions: self.loaded[id].rec.actions.len(),
-                        retries: attempt,
-                        wall: machine.now() - t0,
-                        jobs,
-                        checkpoints,
-                        startup,
-                    });
-                }
-                Err(e) if e.is_recoverable() && attempt + 1 < MAX_ATTEMPTS => {
-                    attempt += 1;
-                    // §5.4: reset the GPU, re-populate the page tables,
-                    // start over the whole recording.
-                    self.iface.soft_reset(&machine)?;
-                    self.nano.remap_all()?;
-                }
-                Err(e) if e.is_recoverable() => {
-                    return Err(ReplayError::RecoveryFailed {
-                        attempts: attempt + 1,
-                        last: Box::new(e),
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let mut retries = 0u32;
+        let (jobs, checkpoints, startup) =
+            self.run_recovering(id, io, 0, end, costs::ACTION_DISPATCH, &mut retries)?;
+        Ok(ReplayReport {
+            actions: end,
+            retries,
+            wall: machine.now() - t0,
+            jobs,
+            checkpoints,
+            startup,
+        })
     }
 
     /// Replays recording `id` for a whole batch of inputs on the warm
@@ -385,16 +354,24 @@ impl Replayer {
     /// warm state, and retries only the failing element — elements already
     /// replayed keep their extracted outputs.
     ///
+    /// This is [`Replayer::replay_batch_isolated`] with the first element
+    /// failure promoted to the call's error.
+    ///
     /// # Errors
     ///
-    /// Returns the first terminal error; earlier elements' outputs are
-    /// already written to their `ReplayIo`s.
+    /// Returns the batch-scoped error, or else the lowest-indexed element's
+    /// terminal error; every other element's outputs are already written
+    /// to its `ReplayIo`.
     pub fn replay_batch(
         &mut self,
         id: usize,
         ios: &mut [ReplayIo],
     ) -> Result<BatchReport, ReplayError> {
-        self.run_batch(id, ios, false).map(|r| r.report)
+        let run = self.replay_batch_isolated(id, ios)?;
+        match run.errors.into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(run.report),
+        }
     }
 
     /// Like [`Replayer::replay_batch`], but element failures are isolated:
@@ -414,20 +391,6 @@ impl Replayer {
         id: usize,
         ios: &mut [ReplayIo],
     ) -> Result<IsolatedBatchReport, ReplayError> {
-        self.run_batch(id, ios, true)
-    }
-
-    /// Shared batch engine. With `isolate == false` this reproduces the
-    /// historical `replay_batch` semantics exactly (first terminal error
-    /// aborts the call; identical cost charging); with `isolate == true`
-    /// element-scoped errors are attributed instead of propagated.
-    #[allow(clippy::too_many_lines)]
-    fn run_batch(
-        &mut self,
-        id: usize,
-        ios: &mut [ReplayIo],
-        isolate: bool,
-    ) -> Result<IsolatedBatchReport, ReplayError> {
         if ios.is_empty() {
             return Err(ReplayError::Io("empty batch".into()));
         }
@@ -435,113 +398,87 @@ impl Replayer {
             return Err(ReplayError::BadRecording(id));
         }
         let mut errors: Vec<(usize, ReplayError)> = Vec::new();
-        let mut skip = vec![false; ios.len()];
+        let mut runnable = Vec::with_capacity(ios.len());
         for (k, io) in ios.iter_mut().enumerate() {
-            if let Err(e) = self.validate_io(id, io) {
-                if isolate {
-                    skip[k] = true;
-                    errors.push((k, e));
+            match self.validate_io(id, io) {
+                Ok(()) => runnable.push(k),
+                Err(e) => {
                     // A failed element must hand back zeroed outputs, not
                     // whatever the caller's buffers held.
                     self.reset_outputs(id, io);
-                } else {
-                    return Err(e);
+                    errors.push((k, e));
                 }
             }
         }
-        if skip.iter().all(|&s| s) {
+        let mut report = BatchReport {
+            elements: ios.len(),
+            prologue_actions: 0,
+            prologue_skipped: 0,
+            resident_reupload_bytes: 0,
+            suffix_actions: 0,
+            amortized: false,
+            retries: 0,
+            jobs: 0,
+            wall: SimDuration::ZERO,
+        };
+        let Some(&first) = runnable.first() else {
             // Nothing runnable: answer without touching the machine.
-            return Ok(IsolatedBatchReport {
-                report: BatchReport {
-                    elements: ios.len(),
-                    prologue_actions: 0,
-                    prologue_skipped: 0,
-                    resident_reupload_bytes: 0,
-                    suffix_actions: 0,
-                    amortized: false,
-                    retries: 0,
-                    jobs: 0,
-                    wall: SimDuration::ZERO,
-                },
-                errors,
-            });
-        }
+            return Ok(IsolatedBatchReport { report, errors });
+        };
+        let machine = self.env.machine().clone();
+        let t0 = machine.now();
+        let end = self.loaded[id].rec.actions.len();
 
         let Some(split) = self.loaded[id].batch_split else {
             // Shape does not admit amortization: full replay per element.
             // The inner replay() calls rewrite machine state freely, so
             // any warm anchor is stale afterwards.
             self.residency = None;
-            let machine = self.env.machine().clone();
-            let t0 = machine.now();
-            let (mut jobs, mut retries) = (0u32, 0u32);
-            for (k, io) in ios.iter_mut().enumerate() {
-                if skip[k] {
-                    continue;
-                }
-                match self.replay(id, io) {
-                    Ok(report) => {
-                        jobs += report.jobs;
-                        retries += report.retries;
+            for &k in &runnable {
+                match self.replay(id, &mut ios[k]) {
+                    Ok(r) => {
+                        report.jobs += r.jobs;
+                        report.retries += r.retries;
                     }
                     Err(e @ ReplayError::Preempted { .. }) => return Err(e),
-                    Err(e) if isolate => {
+                    Err(e) => {
                         errors.push((k, e));
                         // Discard the failed attempt's partial writes.
-                        self.reset_outputs(id, io);
+                        self.reset_outputs(id, &mut ios[k]);
                     }
-                    Err(e) => return Err(e),
                 }
             }
             errors.sort_by_key(|(k, _)| *k);
-            return Ok(IsolatedBatchReport {
-                report: BatchReport {
-                    elements: ios.len(),
-                    prologue_actions: 0,
-                    prologue_skipped: 0,
-                    resident_reupload_bytes: 0,
-                    suffix_actions: self.loaded[id].rec.actions.len(),
-                    amortized: false,
-                    retries,
-                    jobs,
-                    wall: machine.now() - t0,
-                },
-                errors,
-            });
+            report.suffix_actions = end;
+            report.wall = machine.now() - t0;
+            return Ok(IsolatedBatchReport { report, errors });
         };
 
-        let machine = self.env.machine().clone();
-        // t0 before the entry cost so `wall` covers everything the batch
-        // call spent, matching the fallback path (which pays one entry per
-        // inner replay()).
-        let t0 = machine.now();
+        // `wall` covers the entry cost too, matching the fallback path
+        // (which pays one entry per inner replay()).
         machine.advance(self.env.replay_entry_cost());
-        let end = self.loaded[id].rec.actions.len();
-        let mut retries = 0u32;
-        let mut jobs_total = 0u32;
-        let first = skip.iter().position(|&s| !s).expect("a runnable element");
+        report.amortized = true;
+        report.prologue_actions = split;
+        report.suffix_actions = end - split;
 
         // Cross-batch warm residency: when the previous successful warm
         // batch was this same recording and the dirty-line map proves the
         // prologue's backing memory unchanged, elide the prologue instead of
         // re-establishing state. Taking the anchor here means any error
-        // return below leaves residency dropped — only a fully successful
-        // batch re-arms it.
-        let mut prologue_skipped = 0usize;
-        let mut reupload_bytes = 0u64;
-        let mut resident = false;
+        // return below leaves residency dropped — only a batch that reaches
+        // its end re-arms it.
         if let Some(res) = self.valid_residency(id) {
-            (prologue_skipped, reupload_bytes) = self.run_prologue_resident(id, split, &res)?;
-            resident = true;
-        }
-        if !resident {
+            (report.prologue_skipped, report.resident_reupload_bytes) =
+                self.run_prologue_resident(id, split, &res)?;
+        } else {
             // Prologue, once (it contains no Copy actions, so any io works).
-            self.run_recovering(id, &mut ios[first], 0, split, &mut retries)?;
-            // Resolve the per-input suffix once: the bounds / dead-upload /
-            // payload checks paid here are what lets every warm re-run
-            // charge only ACTION_DISPATCH_WARM per action. A resident batch
-            // reuses the previous batch's resolution — same recording,
-            // same warm machine — and pays nothing here.
+            let cold = costs::ACTION_DISPATCH;
+            self.run_recovering(id, &mut ios[first], 0, split, cold, &mut report.retries)?;
+            // Resolve the per-input suffix once: the bounds and payload
+            // checks paid here are what lets every warm re-run charge only
+            // ACTION_DISPATCH_WARM per action. A resident batch reuses the
+            // previous batch's resolution — same recording, same warm
+            // machine — and pays nothing here.
             machine.advance(
                 (costs::ACTION_DISPATCH - costs::ACTION_DISPATCH_WARM) * (end - split) as u64,
             );
@@ -549,8 +486,8 @@ impl Replayer {
         // New residency anchor: clearing the dirty-line map here makes
         // everything written after this point (element inputs, shader
         // stores, external dirtiers) visible to the next batch's
-        // cleanliness queries. Stored only on success; a mid-batch §5.4
-        // reset bumps the epoch and invalidates it anyway.
+        // cleanliness queries. A mid-batch §5.4 reset bumps the epoch and
+        // invalidates it.
         machine.mem().clear_dirty();
         let mut anchor = Residency {
             id,
@@ -566,67 +503,32 @@ impl Replayer {
         // guards the nano driver itself).
         let warm_pages = self.nano.phys_pages();
 
-        'elements: for k in 0..ios.len() {
-            if skip[k] {
-                continue;
-            }
-            self.reset_outputs(id, &mut ios[k]);
-            let mut attempt = 0u32;
-            let jobs = loop {
-                let scale = 1u64 << attempt;
-                let io = &mut ios[k];
-                let res = if attempt == 0 {
-                    self.run_span(id, io, scale, split, end, 0, costs::ACTION_DISPATCH_WARM)
-                } else {
-                    // §5.4 inside a batch: reset, rebuild the tables,
-                    // re-run the prologue to restore warm state, then
-                    // retry this element's suffix.
-                    self.iface.soft_reset(&machine)?;
-                    self.nano.remap_all()?;
-                    self.run_span(id, io, scale, 0, split, 0, costs::ACTION_DISPATCH)
-                        .and_then(|_| {
-                            self.run_span(id, io, scale, split, end, 0, costs::ACTION_DISPATCH_WARM)
-                        })
-                };
-                match res {
-                    Ok((jobs, _, _)) => break jobs,
-                    Err(e) if e.is_recoverable() && attempt + 1 < MAX_ATTEMPTS => {
-                        attempt += 1;
-                        retries += 1;
+        for (pos, &k) in runnable.iter().enumerate() {
+            let io = &mut ios[k];
+            self.reset_outputs(id, io);
+            let dispatch = costs::ACTION_DISPATCH_WARM;
+            match self.run_recovering(id, io, split, end, dispatch, &mut report.retries) {
+                Ok((jobs, _, _)) => report.jobs += jobs,
+                // Preemption revokes the whole replayer, never one element.
+                Err(e @ ReplayError::Preempted { .. }) => return Err(e),
+                Err(e) => {
+                    errors.push((k, e));
+                    // Discard the failed attempts' partial writes.
+                    self.reset_outputs(id, io);
+                    if pos + 1 < runnable.len() {
+                        // The failed suffix may have left the machine
+                        // dirty: re-warm before the next element (the
+                        // same reset + remap + prologue §5.4 recovery
+                        // performs). A terminal re-warm failure is
+                        // batch-scoped.
+                        self.iface.soft_reset(&machine)?;
+                        self.nano.remap_all()?;
+                        let cold = costs::ACTION_DISPATCH;
+                        self.run_recovering(id, io, 0, split, cold, &mut report.retries)?;
                     }
-                    Err(e) => {
-                        let e = if e.is_recoverable() {
-                            ReplayError::RecoveryFailed {
-                                attempts: attempt + 1,
-                                last: Box::new(e),
-                            }
-                        } else {
-                            e
-                        };
-                        // Preemption revokes the whole replayer, never one
-                        // element; everything else is attributed to the
-                        // element when isolating.
-                        if !isolate || matches!(e, ReplayError::Preempted { .. }) {
-                            return Err(e);
-                        }
-                        errors.push((k, e));
-                        // Discard the failed attempts' partial writes.
-                        self.reset_outputs(id, &mut ios[k]);
-                        if skip[k + 1..].iter().any(|&s| !s) {
-                            // The failed suffix may have left the machine
-                            // dirty: re-warm before the next element (the
-                            // same reset + remap + prologue §5.4 recovery
-                            // performs). A terminal re-warm failure is
-                            // batch-scoped.
-                            self.iface.soft_reset(&machine)?;
-                            self.nano.remap_all()?;
-                            self.run_recovering(id, &mut ios[k], 0, split, &mut retries)?;
-                        }
-                        continue 'elements;
-                    }
+                    continue;
                 }
-            };
-            jobs_total += jobs;
+            }
             if self.nano.phys_pages() != warm_pages {
                 return Err(ReplayError::Verify(
                     "batch suffix mutated the warm address space".into(),
@@ -640,20 +542,8 @@ impl Replayer {
             anchor.access = machine.gpu_access().snapshot();
         }
         self.residency = Some(anchor);
-        Ok(IsolatedBatchReport {
-            report: BatchReport {
-                elements: ios.len(),
-                prologue_actions: split,
-                prologue_skipped,
-                resident_reupload_bytes: reupload_bytes,
-                suffix_actions: end - split,
-                amortized: true,
-                retries,
-                jobs: jobs_total,
-                wall: machine.now() - t0,
-            },
-            errors,
-        })
+        report.wall = machine.now() - t0;
+        Ok(IsolatedBatchReport { report, errors })
     }
 
     /// Takes the stored residency if it is still valid for recording `id`:
@@ -699,112 +589,73 @@ impl Replayer {
 
         let machine = self.env.machine().clone();
         let mem = machine.mem().clone();
-        let overhead = self.env.action_overhead();
-        // Decide every annotated upload up front (reads only), then apply.
-        // `restore` holds the `(start, end)` spans each planned upload
-        // re-writes from its dump.
-        let ranges = self.loaded[id].prologue_ranges.clone();
+        // Plan every upload in one reverse pass (reads only), then apply.
+        // `cover` is the union of the uploads after the current one:
+        // `residency_safe` guarantees nothing but uploads follow the first
+        // upload, so a byte a later upload covers is either rewritten by
+        // that upload's plan or already holds its (provably clean) final
+        // bytes. (The v3d recorder re-dumps its control-list page per job:
+        // 8 overlapping single-page uploads collapse to 1.)
+        let rec = &self.loaded[id].rec;
+        let mut cover = IntervalSet::new();
         let mut plans: Vec<(usize, u32, IntervalSet)> = Vec::new();
-        for pr in &ranges {
-            if self.loaded[id].dead_uploads.contains(&pr.index) {
+        for (idx, ta) in rec.actions[..split].iter().enumerate().rev() {
+            let Action::Upload { dump_idx } = ta.action else {
                 continue;
-            }
+            };
+            let dump = &rec.dumps[dump_idx as usize];
+            let (dva, dend) = (dump.va, dump.va + dump.bytes.len() as u64);
             // VA and PA share offsets within a page, so the map's whole
             // physical lines are whole lines in VA too; clip the first and
             // last to the dump.
             let mut dirty = IntervalSet::new();
-            let mut va = pr.va;
-            for (pa, plen) in self.nano.phys_ranges(pr.va, pr.len)? {
+            let mut va = dva;
+            for (pa, plen) in self.nano.phys_ranges(dva, dend - dva)? {
                 for (s, e) in mem.dirty_lines(pa, plen) {
                     dirty.insert(
-                        (va + s).saturating_sub(pa).max(pr.va),
-                        (va + e - pa).min(pr.va + pr.len),
+                        (va + s).saturating_sub(pa).max(dva),
+                        (va + e - pa).min(dend),
                     );
                 }
                 va += plen as u64;
             }
-            if !dirty.is_empty() {
-                // Suffix access-set elision: a dirty byte needs restoring
-                // only when the suffix reads it before writing it, or
-                // does not rewrite it at all (then the post-batch image
-                // must still equal cold replay's). Bytes the suffix
-                // overwrites before any read skip restoration outright.
-                let mut restore = IntervalSet::new();
-                for &(s, e) in dirty.intervals() {
-                    match &res.access {
-                        Some(acc) => {
-                            for (ms, me) in acc.written.subtract_from(s, e) {
-                                restore.insert(ms, me);
-                            }
-                            for (ms, me) in acc.first_reads.clip(s, e) {
-                                restore.insert(ms, me);
-                            }
-                        }
-                        None => restore.insert(s, e),
+            // A dirty byte needs restoring only when the suffix reads it
+            // before writing it, or does not rewrite it at all (then the
+            // post-batch image must still equal cold replay's), and no
+            // later upload covers it.
+            let mut restore = IntervalSet::new();
+            for &(s, e) in dirty.intervals() {
+                let pieces = match &res.access {
+                    Some(acc) => {
+                        let mut p = acc.written.subtract_from(s, e);
+                        p.extend(acc.first_reads.clip(s, e));
+                        p
+                    }
+                    None => vec![(s, e)],
+                };
+                for (ps, pe) in pieces {
+                    for (rs, re) in cover.subtract_from(ps, pe) {
+                        restore.insert(rs, re);
                     }
                 }
-                if !restore.is_empty() {
-                    plans.push((pr.index, pr.upload, restore));
-                }
+            }
+            cover.insert(dva, dend);
+            if !restore.is_empty() {
+                plans.push((idx, dump_idx, restore));
             }
         }
-        // Dead-write elision across the prologue: `residency_safe`
-        // guarantees nothing but uploads follow the first upload, so a
-        // byte covered by any *later* upload either gets rewritten by
-        // that upload's plan or already holds its (provably clean)
-        // bytes — exactly the post-prologue content. Earlier uploads need
-        // not restore such bytes. (The v3d recorder re-dumps its
-        // control-list page per job: 8 overlapping single-page uploads
-        // collapse to 1.)
-        {
-            let mut cover = IntervalSet::new();
-            let mut cover_at: HashMap<usize, IntervalSet> = HashMap::new();
-            for pr in ranges.iter().rev() {
-                if self.loaded[id].dead_uploads.contains(&pr.index) {
-                    continue;
-                }
-                cover_at.insert(pr.index, cover.clone());
-                cover.insert(pr.va, pr.va + pr.len);
-            }
-            for (idx, dump_idx, restore) in std::mem::take(&mut plans) {
-                let cov = cover_at.get(&idx).expect("every plan is annotated");
-                let mut remaining = IntervalSet::new();
-                for &(s, e) in restore.intervals() {
-                    for (rs, re) in cov.subtract_from(s, e) {
-                        remaining.insert(rs, re);
-                    }
-                }
-                if !remaining.is_empty() {
-                    plans.push((idx, dump_idx, remaining));
-                }
-            }
-            plans.sort_by_key(|(idx, _, _)| *idx);
-        }
-        // Apply: re-upload what changed, skip-charge everything else.
-        let mut skipped = 0usize;
+        // Apply in action order: re-upload what changed; every other
+        // prologue action is elided at ACTION_RESIDENT_SKIP.
+        let skipped = split - plans.len();
+        machine.advance(costs::ACTION_RESIDENT_SKIP * skipped as u64);
+        let overhead = self.env.action_overhead();
         let mut reuploaded = 0u64;
-        let mut pending = plans.into_iter().peekable();
-        for idx in 0..split {
-            if self.loaded[id].dead_uploads.contains(&idx) {
-                continue; // elided cold and warm alike
-            }
-            let Some((pidx, _, _)) = pending.peek() else {
-                machine.advance(costs::ACTION_RESIDENT_SKIP);
-                skipped += 1;
-                continue;
-            };
-            if *pidx != idx {
-                machine.advance(costs::ACTION_RESIDENT_SKIP);
-                skipped += 1;
-                continue;
-            }
-            let (_, dump_idx, restore) = pending.next().expect("peeked");
+        for (idx, dump_idx, restore) in plans.into_iter().rev() {
             if !self.lease.is_granted() {
                 return Err(ReplayError::Preempted { index: idx });
             }
             machine.advance(overhead + costs::ACTION_DISPATCH);
-            let loaded = &self.loaded[id];
-            let dump = &loaded.rec.dumps[dump_idx as usize];
+            let dump = &self.loaded[id].rec.dumps[dump_idx as usize];
             let total: u64 = restore.intervals().iter().map(|(s, e)| e - s).sum();
             reuploaded += total;
             machine.advance(costs::xfer(total, costs::UPLOAD_BW));
@@ -817,29 +668,33 @@ impl Replayer {
         Ok((skipped, reuploaded))
     }
 
-    /// Runs `[start, end)` with the standard §5.4 retry loop (reset +
-    /// table rebuild between attempts), accumulating retries into `retries`.
+    /// Runs `[start, end)` at `dispatch` per action under §5.4 recovery:
+    /// on a recoverable error it soft-resets the GPU, rebuilds the page
+    /// tables, re-runs `[0, start)` cold and retries `[start, end)`, with
+    /// delays and timeouts doubled per attempt, up to [`MAX_ATTEMPTS`].
+    /// Retries are added to `retries`; returns the last span's
+    /// `(jobs, checkpoints, startup)`.
     fn run_recovering(
         &mut self,
         id: usize,
         io: &mut ReplayIo,
         start: usize,
         end: usize,
+        dispatch: SimDuration,
         retries: &mut u32,
-    ) -> Result<(), ReplayError> {
+    ) -> Result<(u32, u32, SimDuration), ReplayError> {
         let machine = self.env.machine().clone();
         let mut attempt = 0u32;
         loop {
-            match self.run_span(
-                id,
-                io,
-                1u64 << attempt,
-                start,
-                end,
-                0,
-                costs::ACTION_DISPATCH,
-            ) {
-                Ok(_) => return Ok(()),
+            let scale = 1u64 << attempt;
+            // The first attempt runs on the warm state the caller set up;
+            // a retry runs on a freshly reset GPU and rebuilds it first.
+            let rewarm_from = if attempt == 0 { start } else { 0 };
+            let res = self
+                .run_span(id, io, scale, rewarm_from, start, 0, costs::ACTION_DISPATCH)
+                .and_then(|_| self.run_span(id, io, scale, start, end, 0, dispatch));
+            match res {
+                Ok(done) => return Ok(done),
                 Err(e) if e.is_recoverable() && attempt + 1 < MAX_ATTEMPTS => {
                     attempt += 1;
                     *retries += 1;
@@ -962,11 +817,6 @@ impl Replayer {
         for idx in start..end {
             if !self.lease.is_granted() {
                 return Err(ReplayError::Preempted { index: idx });
-            }
-            if self.loaded[id].dead_uploads.contains(&idx) {
-                // Load-time elision: this upload's bytes are provably
-                // overwritten before anything can observe them.
-                continue;
             }
             let rec = &self.loaded[id].rec;
             let ta = &rec.actions[idx];

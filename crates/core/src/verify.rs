@@ -24,10 +24,6 @@ pub struct VerifyReport {
     pub peak_pages: u64,
     /// Distinct registers touched.
     pub registers_touched: usize,
-    /// Indices of `Upload` actions proven dead: their whole dump range is
-    /// overwritten by a later `CopyToGpu` before any register write could
-    /// have started a job, so the uploaded bytes are never observed.
-    pub dead_uploads: Vec<usize>,
     /// First action index of the per-input replay suffix, when the
     /// recording supports warm batched replay (see
     /// [`crate::Replayer::replay_batch`]): the prologue `[0, split)` is
@@ -36,13 +32,6 @@ pub struct VerifyReport {
     /// map/unmap/table-base switch), so the prologue can run once per warm
     /// machine and the suffix once per batch element.
     pub batch_split: Option<usize>,
-    /// The memory ranges backing each prologue `Upload` action (empty
-    /// when `batch_split` is `None`). Cross-batch warm residency consults
-    /// these against the DRAM dirty-line map to decide which uploads can be elided
-    /// on an unchanged machine; register bring-up and `MapGpuMem` carry
-    /// no annotation because a resident batch elides them unconditionally
-    /// (they are warm and idempotent — the maps rewrite nothing).
-    pub prologue_ranges: Vec<PrologueRange>,
     /// `true` when the prologue's shape additionally admits cross-batch
     /// residency: every prologue action from the first `Upload` onward is
     /// itself an `Upload`. Elided register actions cannot observe memory,
@@ -53,41 +42,6 @@ pub struct VerifyReport {
     /// ones with nothing in between. Recordings that interleave register
     /// work with uploads fall back to the full per-batch prologue.
     pub residency_safe: bool,
-}
-
-/// The VA range a prologue upload establishes, annotated at verify time
-/// for the residency state machine (see `DESIGN.md` §13).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrologueRange {
-    /// Action index within `[0, batch_split)`.
-    pub index: usize,
-    /// First GPU VA the upload touches.
-    pub va: u64,
-    /// Byte length of the range.
-    pub len: u64,
-    /// The dump the action uploads.
-    pub upload: u32,
-}
-
-/// Annotates every `Upload` action in the prologue `[0, split)` with its
-/// backing VA range (documented on [`VerifyReport::prologue_ranges`]).
-fn annotate_prologue(rec: &Recording, split: usize) -> Vec<PrologueRange> {
-    let mut out = Vec::new();
-    for (i, ta) in rec.actions[..split].iter().enumerate() {
-        let Action::Upload { dump_idx } = &ta.action else {
-            continue;
-        };
-        let Some(dump) = rec.dumps.get(*dump_idx as usize) else {
-            continue; // verify() proper rejects this recording
-        };
-        out.push(PrologueRange {
-            index: i,
-            va: dump.va,
-            len: dump.bytes.len() as u64,
-            upload: *dump_idx,
-        });
-    }
-    out
 }
 
 /// Residency shape check (documented on [`VerifyReport::residency_safe`]):
@@ -103,42 +57,6 @@ fn residency_safe(rec: &Recording, split: usize) -> bool {
             .iter()
             .all(|ta| matches!(ta.action, Action::Upload { .. })),
     }
-}
-
-/// Finds `Upload` actions whose dump range is fully overwritten by a later
-/// `CopyToGpu` before any job could run (satisfying the elision rule the
-/// report documents). The scan is conservative: any register write, IRQ
-/// wait, output copy, or unmap between the upload and the covering input
-/// copy keeps the upload live.
-fn find_dead_uploads(rec: &Recording) -> Vec<usize> {
-    let mut dead = Vec::new();
-    for (i, ta) in rec.actions.iter().enumerate() {
-        let Action::Upload { dump_idx } = &ta.action else {
-            continue;
-        };
-        let Some(dump) = rec.dumps.get(*dump_idx as usize) else {
-            continue; // verify() proper rejects this recording
-        };
-        let (dva, dlen) = (dump.va, dump.bytes.len() as u64);
-        for later in &rec.actions[i + 1..] {
-            match &later.action {
-                Action::CopyToGpu { slot } => {
-                    let Some(s) = rec.inputs.get(*slot as usize) else {
-                        break;
-                    };
-                    if s.va <= dva && dva + dlen <= s.va + u64::from(s.len) {
-                        dead.push(i);
-                        break;
-                    }
-                }
-                // Overwriting the same bytes again cannot resurrect them;
-                // keep scanning. Everything else might observe the upload.
-                Action::Upload { .. } => {}
-                _ => break,
-            }
-        }
-    }
-    dead
 }
 
 /// Computes the warm-batch split point, if the recording's shape allows
@@ -305,9 +223,7 @@ pub fn verify(
         actions: rec.actions.len(),
         peak_pages: peak,
         registers_touched: regs.len(),
-        dead_uploads: find_dead_uploads(rec),
         batch_split,
-        prologue_ranges: batch_split.map_or_else(Vec::new, |s| annotate_prologue(rec, s)),
         residency_safe: batch_split.is_some_and(|s| residency_safe(rec, s)),
     })
 }
@@ -350,53 +266,7 @@ mod tests {
         let report = verify(&rec, NanoIface::Mali, 1024).unwrap();
         assert_eq!(report.peak_pages, 2);
         assert_eq!(report.registers_touched, 1);
-        assert!(report.dead_uploads.is_empty(), "input does not cover dump");
         assert_eq!(report.batch_split, Some(2), "suffix starts at CopyToGpu");
-    }
-
-    #[test]
-    fn detects_dead_uploads_covered_by_input_copy() {
-        let mut rec = base_rec();
-        // Dump fully inside the input slot's range, then the input copy.
-        rec.dumps.push(Dump {
-            va: 0x10_0000,
-            bytes: vec![0xEE; 64],
-        });
-        rec.inputs.push(IoSlot {
-            name: "in".into(),
-            va: 0x10_0000,
-            len: 128,
-        });
-        rec.actions
-            .push(TimedAction::immediate(Action::Upload { dump_idx: 0 }));
-        rec.actions
-            .push(TimedAction::immediate(Action::CopyToGpu { slot: 0 }));
-        let report = verify(&rec, NanoIface::Mali, 1024).unwrap();
-        assert_eq!(report.dead_uploads, vec![1]);
-
-        // A register write between upload and input copy (a potential job
-        // kick) keeps the upload live.
-        let mut rec2 = base_rec();
-        rec2.dumps.push(Dump {
-            va: 0x10_0000,
-            bytes: vec![0xEE; 64],
-        });
-        rec2.inputs.push(IoSlot {
-            name: "in".into(),
-            va: 0x10_0000,
-            len: 128,
-        });
-        rec2.actions
-            .push(TimedAction::immediate(Action::Upload { dump_idx: 0 }));
-        rec2.actions.push(TimedAction::immediate(Action::RegWrite {
-            reg: gr_gpu::mali::regs::JS0_COMMAND,
-            mask: u32::MAX,
-            val: 1,
-        }));
-        rec2.actions
-            .push(TimedAction::immediate(Action::CopyToGpu { slot: 0 }));
-        let report2 = verify(&rec2, NanoIface::Mali, 1024).unwrap();
-        assert!(report2.dead_uploads.is_empty(), "kick may observe the dump");
     }
 
     #[test]
@@ -479,7 +349,8 @@ mod tests {
             va: 0x10_0000,
             bytes: vec![1; PAGE_SIZE],
         });
-        // A second dump overlapping the first: both are annotated.
+        // A second dump overlapping the first: a resident batch plans
+        // both, the later one covering the earlier.
         rec.dumps.push(Dump {
             va: 0x10_0800,
             bytes: vec![2; 64],
@@ -497,19 +368,12 @@ mod tests {
             .push(TimedAction::immediate(Action::CopyToGpu { slot: 0 }));
         let report = verify(&rec, NanoIface::Mali, 1024).unwrap();
         assert_eq!(report.batch_split, Some(3));
-        assert!(report.residency_safe, "tail-consecutive uploads");
-        assert_eq!(report.prologue_ranges.len(), 2);
-        let up0 = &report.prologue_ranges[0];
-        assert_eq!((up0.index, up0.va, up0.len), (1, 0x10_0000, 4096));
-        assert_eq!(up0.upload, 0);
-        let up1 = &report.prologue_ranges[1];
-        assert_eq!((up1.index, up1.va, up1.len), (2, 0x10_0800, 64));
-        assert_eq!(up1.upload, 1);
+        assert!(report.residency_safe, "map, then tail-consecutive uploads");
 
-        // Unbatchable recordings carry no annotations and no residency.
+        // Unbatchable recordings carry no split and no residency.
         let plain = base_rec();
         let plain_report = verify(&plain, NanoIface::Mali, 1024).unwrap();
-        assert!(plain_report.prologue_ranges.is_empty());
+        assert_eq!(plain_report.batch_split, None);
         assert!(!plain_report.residency_safe);
     }
 

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use gr_sim::{SimClock, SimDuration, SimRng, SimTime, TraceBus, TraceEvent};
+use gr_sim::{SimClock, SimDuration, SimRng, SimTime};
 use gr_soc::pmc::Pmc;
 use gr_soc::{
     FrameAllocator, IrqController, IrqLine, Mailbox, PhysMem, SharedMem, SharedPmc, PAGE_SIZE,
@@ -47,7 +47,6 @@ pub struct Machine {
     gpu: Arc<Mutex<Box<dyn GpuDev>>>,
     access: crate::access::SharedAccessLog,
     frames: Arc<Mutex<FrameAllocator>>,
-    trace: TraceBus,
     sku: &'static GpuSku,
     seed: u64,
 }
@@ -106,7 +105,6 @@ impl Machine {
             gpu: Arc::new(Mutex::new(gpu)),
             access,
             frames: Arc::new(Mutex::new(frames)),
-            trace: TraceBus::new(),
             sku,
             seed,
         }
@@ -162,29 +160,13 @@ impl Machine {
         &self.frames
     }
 
-    /// The CPU/GPU interaction trace (validation harnesses enable it).
-    pub fn trace(&self) -> &TraceBus {
-        &self.trace
-    }
-
-    /// Reads a GPU register, publishing the interaction to the trace.
+    /// Reads a GPU register.
     pub fn gpu_read32(&self, off: u32) -> u32 {
-        let val = self.gpu.lock().read32(off);
-        self.trace.publish(
-            self.clock.now(),
-            TraceEvent::RegRead {
-                reg: off,
-                val,
-                side_effect: false,
-            },
-        );
-        val
+        self.gpu.lock().read32(off)
     }
 
-    /// Writes a GPU register, publishing the interaction to the trace.
+    /// Writes a GPU register.
     pub fn gpu_write32(&self, off: u32, val: u32) {
-        self.trace
-            .publish(self.clock.now(), TraceEvent::RegWrite { reg: off, val });
         self.gpu.lock().write32(off, val);
     }
 
@@ -221,15 +203,11 @@ impl Machine {
 
     /// Blocks (in virtual time) until `line` is pending or `timeout`
     /// elapses, advancing the clock to device events as needed.
-    ///
-    /// Publishes an [`TraceEvent::Irq`] when the interrupt arrives.
     pub fn wait_irq(&self, line: IrqLine, timeout: SimDuration) -> WaitOutcome {
         let deadline = self.clock.now() + timeout;
         loop {
             self.tick_gpu();
             if self.irq.pending(line) {
-                self.trace
-                    .publish(self.clock.now(), TraceEvent::Irq { line: line.0 });
                 return WaitOutcome::Irq;
             }
             match self.next_gpu_event() {
@@ -240,8 +218,6 @@ impl Machine {
                     self.clock.advance_to(deadline);
                     self.tick_gpu();
                     return if self.irq.pending(line) {
-                        self.trace
-                            .publish(self.clock.now(), TraceEvent::Irq { line: line.0 });
                         WaitOutcome::Irq
                     } else {
                         WaitOutcome::Timeout
@@ -338,17 +314,6 @@ mod tests {
             SimDuration::from_micros(100),
         );
         assert_eq!(polls, 1);
-    }
-
-    #[test]
-    fn trace_captures_interactions_when_enabled() {
-        let m = Machine::new(&MALI_G71, 1);
-        m.trace().enable();
-        m.gpu_read32(crate::mali::regs::GPU_ID);
-        m.gpu_write32(crate::mali::regs::GPU_IRQ_MASK, 0xFF);
-        let snap = m.trace().snapshot();
-        assert_eq!(snap.len(), 2);
-        assert!(matches!(snap[0].event, TraceEvent::RegRead { reg, .. } if reg == 0));
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl RecorderSink for Recorder {
             mapped_pages += r.pages as u64;
         }
         for (page_va, bytes) in policy_pages {
-            let h = gr_sim::trace::fnv1a(&bytes);
+            let h = fnv1a(&bytes);
             if st.page_hashes.get(&page_va) != Some(&h) {
                 st.page_hashes.insert(page_va, h);
                 changed.push((page_va, bytes));
@@ -254,7 +254,7 @@ impl RecorderSink for Recorder {
             return;
         }
         for (page_va, bytes) in policy_pages {
-            let h = gr_sim::trace::fnv1a(&bytes);
+            let h = fnv1a(&bytes);
             st.page_hashes.insert(page_va, h);
         }
         st.last_regions = ctx.regions.to_vec();
@@ -263,6 +263,17 @@ impl RecorderSink for Recorder {
     fn gpu_phase(&self, busy: bool) {
         self.push(RawEvent::GpuPhase { busy });
     }
+}
+
+/// FNV-1a hash of a byte slice: the per-page content fingerprint that
+/// decides which pages changed since the previous job dump.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
 }
 
 #[cfg(test)]
@@ -299,5 +310,11 @@ mod tests {
         rec.copy_from_gpu(0x1000, 64);
         assert_eq!(rec.mark(), 0);
         assert_eq!(rec.family(), GpuFamilyKind::V3d);
+    }
+
+    #[test]
+    fn fnv_distinguishes_content() {
+        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

@@ -36,8 +36,8 @@
 //! * **replay-progress clock**: after each formed batch a worker advances
 //!   the service clock to its machine's virtual timeline, so queued
 //!   deadlines expire from replay progress without an external driver
-//!   (disable with [`ReplayServiceBuilder::manual_clock`]; the explicit
-//!   `clock().advance(..)` API still works either way);
+//!   (an explicit `clock().advance(..)` composes with it: the clock is
+//!   monotonic, so it reads the latest of all timelines);
 //! * **observability**: [`ReplayService::stats`] snapshots per-shard
 //!   queue depth, admission/rejection counters, deadline misses, the
 //!   formed-batch size histogram, residency elisions, and per-recording
@@ -333,10 +333,6 @@ struct ShardInner {
     sku: &'static str,
     max_batch: usize,
     clock: SimClock,
-    /// When set (the default), workers advance the service clock to their
-    /// machine's virtual timeline after every formed batch, so queued
-    /// deadlines expire from replay progress without an external driver.
-    auto_clock: bool,
     state: Mutex<ShardState>,
     work_cv: Condvar,
     idle_cv: Condvar,
@@ -360,7 +356,6 @@ struct Shard {
 #[derive(Default)]
 pub struct ReplayServiceBuilder {
     shards: Vec<ShardSpec>,
-    manual_clock: bool,
 }
 
 impl ReplayServiceBuilder {
@@ -368,16 +363,6 @@ impl ReplayServiceBuilder {
     #[must_use]
     pub fn shard(mut self, spec: ShardSpec) -> ReplayServiceBuilder {
         self.shards.push(spec);
-        self
-    }
-
-    /// Disables the replay-progress clock tick: the service clock then
-    /// only moves when the caller advances it explicitly (see
-    /// [`ReplayService::clock`]). By default workers advance the clock to
-    /// their machine's virtual timeline after each formed batch.
-    #[must_use]
-    pub fn manual_clock(mut self) -> ReplayServiceBuilder {
-        self.manual_clock = true;
         self
     }
 
@@ -403,7 +388,6 @@ impl ReplayServiceBuilder {
                 sku: spec.sku.name,
                 max_batch: spec.max_batch,
                 clock: clock.clone(),
-                auto_clock: !self.manual_clock,
                 state: Mutex::new(ShardState {
                     queue: EdfQueue::new(spec.queue_cap),
                     closed: false,
@@ -631,9 +615,7 @@ fn worker_main(
         // machines' virtual timelines, no external driver needed. The
         // service clock is monotonic (`advance_to`), so manual advances
         // and multiple workers compose as "max of all timelines".
-        if inner.auto_clock {
-            inner.clock.advance_to(machine.now());
-        }
+        inner.clock.advance_to(machine.now());
 
         let mut st = inner.lock();
         st.in_flight -= replies.len();
@@ -768,10 +750,9 @@ impl ReplayService {
     }
 
     /// The service's virtual clock: deadlines are instants on this
-    /// timeline. The clock only moves when something advances it — a
-    /// deployment would tick it from wall time; deterministic tests
-    /// advance it explicitly. It is deliberately distinct from the worker
-    /// machines' timelines (which measure modeled replay cost).
+    /// timeline. Workers advance it to their machine's virtual timeline
+    /// after each formed batch; callers may also advance it explicitly
+    /// (it is monotonic, so it reads the latest of all timelines).
     pub fn clock(&self) -> SimClock {
         self.clock.clone()
     }

@@ -11,8 +11,6 @@
 //!
 //! * [`SimRng`] — deterministic, fork-able randomness (timing jitter, magic
 //!   input generation, interference schedules);
-//! * [`TraceBus`] — the CPU/GPU interaction log used by the §7.2
-//!   correctness-validation experiments;
 //! * [`EventQueue`] — the pending-event structure device models use to
 //!   schedule job completions and IRQs;
 //! * [`MemAccount`] — modeled CPU heap accounting for the §7.3 memory
@@ -33,11 +31,9 @@ pub mod event;
 pub mod mem;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use clock::SimClock;
 pub use event::EventQueue;
 pub use mem::MemAccount;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBus, TraceEvent};

@@ -287,77 +287,6 @@ fn multi_input_vecadd_batches_correctly() {
     replayer.cleanup();
 }
 
-/// Dead-upload elision: a dump fully overwritten by the input copy before
-/// any job is skipped at replay — same outputs, strictly less virtual
-/// time than the identical recording where the upload stays live.
-#[test]
-fn dead_upload_is_elided_at_replay() {
-    use gpureplay::recording::{Action, Dump, IoSlot, RecordingMeta, TimedAction};
-    const PAGES: usize = 256; // 1 MiB dump => ~0.5 ms upload at 2 GB/s
-    let build = |keep_alive: bool| {
-        let mut rec = Recording::new(RecordingMeta::new(
-            "mali",
-            "G71",
-            sku::MALI_G71.gpu_id,
-            "dead-upload",
-        ));
-        rec.actions.push(TimedAction::immediate(Action::MapGpuMem {
-            va: 0x10_0000,
-            pte_flags: vec![0xF; PAGES],
-        }));
-        rec.dumps.push(Dump {
-            va: 0x10_0000,
-            bytes: vec![0xEE; PAGES * 4096],
-        });
-        rec.inputs.push(IoSlot {
-            name: "in".into(),
-            va: 0x10_0000,
-            len: (PAGES * 4096) as u32,
-        });
-        rec.outputs.push(IoSlot {
-            name: "out".into(),
-            va: 0x10_0000,
-            len: 64,
-        });
-        rec.actions
-            .push(TimedAction::immediate(Action::Upload { dump_idx: 0 }));
-        if keep_alive {
-            // A register read between upload and input copy could observe
-            // the uploaded bytes: the verifier must keep the upload live.
-            rec.actions
-                .push(TimedAction::immediate(Action::RegReadOnce {
-                    reg: 0, // GPU_ID
-                    expect: sku::MALI_G71.gpu_id,
-                    ignore: false,
-                }));
-        }
-        rec.actions
-            .push(TimedAction::immediate(Action::CopyToGpu { slot: 0 }));
-        rec.actions
-            .push(TimedAction::immediate(Action::CopyFromGpu { slot: 0 }));
-        rec
-    };
-    let run = |keep_alive: bool| {
-        let machine = Machine::new(&sku::MALI_G71, 91);
-        let env = Environment::new(EnvKind::UserLevel, machine).unwrap();
-        let mut replayer = Replayer::new(env);
-        let id = replayer.load(build(keep_alive)).unwrap();
-        let mut io = ReplayIo::for_recording(replayer.recording(id));
-        io.inputs[0] = (0..PAGES * 4096).map(|i| i as u8).collect();
-        let report = replayer.replay(id, &mut io).unwrap();
-        // The input copy always wins over the (possibly elided) upload.
-        assert_eq!(&io.outputs[0][..4], &[0, 1, 2, 3]);
-        replayer.cleanup();
-        report.wall
-    };
-    let live = run(true);
-    let dead = run(false);
-    assert!(
-        live.as_nanos() > dead.as_nanos() + 400_000,
-        "eliding a 1 MiB dead upload must save its ~0.5 ms transfer: live {live}, dead {dead}"
-    );
-}
-
 /// A recording with no `CopyToGpu` has nothing to amortize per element:
 /// `replay_batch` falls back to full per-element replays.
 #[test]
@@ -389,5 +318,141 @@ fn unbatchable_recording_falls_back_to_full_replays() {
     assert!(!report.amortized, "no input copy, nothing to amortize");
     assert_eq!(report.elements, 2);
     assert_eq!(report.prologue_actions, 0);
+    replayer.cleanup();
+}
+
+/// A hand-built Mali recording whose per-input suffix reads `GPU_ID` and
+/// expects a value no G71 reports: every attempt diverges, so §5.4
+/// recovery must run out of attempts.
+fn diverging_recording() -> Recording {
+    use gpureplay::recording::{Action, Dump, IoSlot, RecordingMeta, TimedAction};
+    let mut rec = Recording::new(RecordingMeta::new(
+        "mali",
+        "G71",
+        sku::MALI_G71.gpu_id,
+        "diverging-suffix",
+    ));
+    rec.actions.push(TimedAction::immediate(Action::MapGpuMem {
+        va: 0x10_0000,
+        pte_flags: vec![0xF; 4],
+    }));
+    rec.dumps.push(Dump {
+        va: 0x10_0000,
+        bytes: vec![0xEE; 4096],
+    });
+    rec.inputs.push(IoSlot {
+        name: "in".into(),
+        va: 0x10_1000,
+        len: 64,
+    });
+    rec.outputs.push(IoSlot {
+        name: "out".into(),
+        va: 0x10_2000,
+        len: 64,
+    });
+    rec.actions
+        .push(TimedAction::immediate(Action::Upload { dump_idx: 0 }));
+    rec.actions
+        .push(TimedAction::immediate(Action::CopyToGpu { slot: 0 }));
+    rec.actions
+        .push(TimedAction::immediate(Action::RegReadOnce {
+            reg: gr_gpu::mali::regs::GPU_ID,
+            expect: sku::MALI_G71.gpu_id ^ 1,
+            ignore: false,
+        }));
+    rec.actions
+        .push(TimedAction::immediate(Action::CopyFromGpu { slot: 0 }));
+    rec
+}
+
+/// §5.4 pinned: a divergence that survives every re-execution ends
+/// `replay` with `RecoveryFailed` after exactly `MAX_ATTEMPTS` attempts.
+#[test]
+fn replay_of_a_persistent_divergence_fails_after_three_attempts() {
+    use gpureplay::replayer::ReplayError;
+    let machine = Machine::new(&sku::MALI_G71, 83);
+    let env = Environment::new(EnvKind::UserLevel, machine).unwrap();
+    let mut replayer = Replayer::new(env);
+    let id = replayer.load(diverging_recording()).unwrap();
+    let mut io = ReplayIo::for_recording(replayer.recording(id));
+    let err = replayer.replay(id, &mut io).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            ReplayError::RecoveryFailed { attempts: 3, last }
+                if matches!(**last, ReplayError::Diverged { .. })
+        ),
+        "{err:?}"
+    );
+    replayer.cleanup();
+}
+
+/// §5.4 pinned inside an isolated batch: each element exhausts its own
+/// attempts (2 retries each), is attributed its own `RecoveryFailed`, and
+/// the machine is re-warmed between elements. The virtual wall pins the
+/// exact reset, re-warm and retry sequence.
+#[test]
+fn isolated_batch_attributes_exhausted_recovery_per_element() {
+    use gpureplay::replayer::ReplayError;
+    let machine = Machine::new(&sku::MALI_G71, 87);
+    let env = Environment::new(EnvKind::UserLevel, machine).unwrap();
+    let mut replayer = Replayer::new(env);
+    let id = replayer.load(diverging_recording()).unwrap();
+    let mut ios: Vec<ReplayIo> = (0..3)
+        .map(|_| ReplayIo::for_recording(replayer.recording(id)))
+        .collect();
+    let run = replayer.replay_batch_isolated(id, &mut ios).unwrap();
+    assert!(run.report.amortized);
+    assert_eq!(run.report.elements, 3);
+    assert_eq!(run.errors.len(), 3, "{:?}", run.errors);
+    for (k, (idx, err)) in run.errors.iter().enumerate() {
+        assert_eq!(*idx, k);
+        assert!(
+            matches!(err, ReplayError::RecoveryFailed { attempts: 3, .. }),
+            "{err:?}"
+        );
+    }
+    assert_eq!(run.report.retries, 6);
+    assert_eq!(run.report.wall.as_nanos(), 915_920, "{}", run.report.wall);
+    replayer.cleanup();
+}
+
+/// `replay_batch` reports a shape-poisoned element's own `Io` error, and
+/// the replayer stays usable: the next batch is bit-exact vs `cpu_ref`.
+#[test]
+fn replay_batch_returns_the_poisoned_elements_error_and_stays_usable() {
+    use gpureplay::replayer::ReplayError;
+    let rec = mali();
+    let machine = Machine::new(&sku::MALI_G71, 89);
+    let env = Environment::new(EnvKind::UserLevel, machine).unwrap();
+    let mut replayer = Replayer::new(env);
+    let id = replayer.load_bytes(&rec.bytes).unwrap();
+    let inputs: Vec<Vec<f32>> = (0..3)
+        .map(|k| random_input(rec.net.input_len(), 700 + k))
+        .collect();
+    let build = |replayer: &Replayer| -> Vec<ReplayIo> {
+        inputs
+            .iter()
+            .map(|input| {
+                let mut io = ReplayIo::for_recording(replayer.recording(id));
+                io.set_input_f32(0, input).unwrap();
+                io
+            })
+            .collect()
+    };
+    let mut ios = build(&replayer);
+    ios[1].inputs[0] = vec![0u8; 3];
+    let err = replayer.replay_batch(id, &mut ios).unwrap_err();
+    assert!(matches!(err, ReplayError::Io(_)), "{err:?}");
+
+    let mut ios = build(&replayer);
+    replayer.replay_batch(id, &mut ios).unwrap();
+    for (k, input) in inputs.iter().enumerate() {
+        assert_eq!(
+            ios[k].output_f32(0).unwrap(),
+            cpu_ref::cpu_infer(&rec.net, input),
+            "element {k} after a poisoned batch"
+        );
+    }
     replayer.cleanup();
 }
