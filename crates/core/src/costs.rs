@@ -26,8 +26,9 @@ pub const ACTION_DISPATCH_WARM: SimDuration = SimDuration::from_nanos(100);
 /// elided by cross-batch warm residency. Set together with residency, so
 /// the residency virtual gain (`tests/virtual_gates.rs`) follows from
 /// this value, not from a measurement. The replayer still walks the
-/// resolved action list and queries the DRAM dirty-line map for each
-/// upload's range, but performs no register access or transfer. On the
+/// resolved action list and intersects each upload's range with the
+/// previous suffix's access sets, but performs no register access or
+/// transfer. On the
 /// wall clock a resident AlexNet prologue took 0.06–0.12 ms against
 /// 1.15–1.45 ms for a full one (`perfbench --workload serve --trace 1`,
 /// shared 2-vCPU x86-64 host).

@@ -259,26 +259,6 @@ impl NanoDriver {
         })
     }
 
-    /// Resolves the GPU-virtual range `[va, va+len)` to its backing
-    /// physical ranges (contiguous pages coalesced). Used by the warm-
-    /// residency state machine to query the DRAM dirty-line map about the
-    /// memory behind a dump.
-    ///
-    /// # Errors
-    ///
-    /// Fails when any part of the range is unmapped.
-    pub fn phys_ranges(&self, va: u64, len: u64) -> Result<Vec<(u64, usize)>, ReplayError> {
-        let mut out: Vec<(u64, usize)> = Vec::new();
-        self.walk(va, len as usize, |pa, _, n| {
-            match out.last_mut() {
-                Some((last_pa, last_len)) if *last_pa + *last_len as u64 == pa => *last_len += n,
-                _ => out.push((pa, n)),
-            }
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
     /// Snapshot of all mapped content (checkpointing).
     pub fn snapshot_memory(&self) -> Vec<(u64, Vec<u8>)> {
         self.regions

@@ -142,12 +142,12 @@ pub struct BatchReport {
     /// of these actually executed this batch — the rest were elided by
     /// cross-batch warm residency.
     pub prologue_actions: usize,
-    /// Prologue actions elided because the DRAM dirty-line map proved
-    /// their backing memory unchanged since the previous batch of the same
-    /// recording on this warm machine.
+    /// Prologue actions elided because the previous batch's suffix access
+    /// sets proved their effect still in place on this warm machine.
     pub prologue_skipped: usize,
     /// Dump bytes a *resident* batch re-uploaded to re-establish the
-    /// post-prologue memory image: only the dirty lines of each dump.
+    /// post-prologue memory image: only the dump bytes the previous
+    /// batch's suffix wrote after reading them first.
     /// Always 0 for a non-resident batch, which uploads everything via the
     /// full prologue instead.
     pub resident_reupload_bytes: u64,
@@ -174,17 +174,19 @@ struct Loaded {
 }
 
 /// Cross-batch warm residency: what the previous successful warm batch of
-/// `id` left behind. The DRAM dirty-line map was cleared right after that
-/// batch's prologue work; `epoch` pins the map's epoch (GPU reset or AS
-/// switch bumps it, dropping residency — the §5.4 re-warm path and any
-/// other replayer's batch on the same machine included); `access` is
-/// the suffix's first-read/write sets (None when the access log
-/// overflowed or checkpointing interleaved reads the log cannot see).
+/// `id` left behind. `epoch` is the GPU epoch right after that batch's
+/// prologue work (GPU reset or AS switch bumps it, dropping residency —
+/// the §5.4 re-warm path and any other replayer's batch on the same
+/// machine included); `access` is the suffix's first-read/write sets.
+/// Only the replayer and its GPU jobs write its frames, so `access`
+/// names every byte that can have changed since the prologue. A batch
+/// whose access log overflowed or that took checkpoints (which read
+/// memory outside the log) leaves no residency.
 #[derive(Debug, Clone)]
 struct Residency {
     id: usize,
     epoch: u64,
-    access: Option<gr_gpu::AccessSnapshot>,
+    access: gr_gpu::AccessSnapshot,
 }
 
 struct Checkpoint {
@@ -462,9 +464,9 @@ impl Replayer {
         report.suffix_actions = end - split;
 
         // Cross-batch warm residency: when the previous successful warm
-        // batch was this same recording and the dirty-line map proves the
-        // prologue's backing memory unchanged, elide the prologue instead of
-        // re-establishing state. Taking the anchor here means any error
+        // batch was this same recording and nothing reset the GPU since,
+        // elide the prologue and restore only what that batch's suffix
+        // changed and reads. Taking the anchor here means any error
         // return below leaves residency dropped — only a batch that reaches
         // its end re-arms it.
         if let Some(res) = self.valid_residency(id) {
@@ -483,20 +485,12 @@ impl Replayer {
                 (costs::ACTION_DISPATCH - costs::ACTION_DISPATCH_WARM) * (end - split) as u64,
             );
         }
-        // New residency anchor: clearing the dirty-line map here makes
-        // everything written after this point (element inputs, shader
-        // stores, external dirtiers) visible to the next batch's
-        // cleanliness queries. A mid-batch §5.4 reset bumps the epoch and
-        // invalidates it.
-        machine.mem().clear_dirty();
-        let mut anchor = Residency {
-            id,
-            epoch: machine.mem().dirty_epoch(),
-            access: None,
-        };
-        // Arm the GPU access log for the suffix: the next batch uses its
-        // first-read/write sets to skip restoring dump bytes the suffix
-        // provably overwrites before reading (see `gr_gpu::access`).
+        // New residency anchor: the post-prologue image. A mid-batch §5.4
+        // reset bumps the epoch and invalidates it. The GPU access log,
+        // armed for the suffix, records every byte the suffix writes and
+        // reads; the next batch restores from those sets (see
+        // `gr_gpu::access`).
+        let epoch = machine.mem().gpu_epoch();
         machine.gpu_access().arm();
         // Warm-state invariant: the suffix must never grow or shrink the
         // mapped set (the verifier guarantees no map/unmap actions, this
@@ -536,18 +530,18 @@ impl Replayer {
             }
         }
         errors.sort_by_key(|(k, _)| *k);
-        // Checkpoints read all mapped memory outside the logged paths;
-        // keep the access sets only when none could have been taken.
+        // Checkpoints read and restore mapped memory outside the logged
+        // paths: no sets, no residency.
         if self.checkpoint_every_jobs.is_none() {
-            anchor.access = machine.gpu_access().snapshot();
+            let access = machine.gpu_access().snapshot();
+            self.residency = access.map(|access| Residency { id, epoch, access });
         }
-        self.residency = Some(anchor);
         report.wall = machine.now() - t0;
         Ok(IsolatedBatchReport { report, errors })
     }
 
     /// Takes the stored residency if it is still valid for recording `id`:
-    /// residency enabled, same recording, and the dirty-map epoch
+    /// residency enabled, same recording, and the GPU epoch
     /// unchanged (no GPU reset or address-space switch since the anchor
     /// was taken — including §5.4 re-warms, which reset). Taking it means
     /// an invalid or consumed anchor never survives an error path.
@@ -556,27 +550,22 @@ impl Replayer {
         if !self.residency_enabled || res.id != id || !self.loaded[id].residency_safe {
             return None;
         }
-        if self.env.machine().mem().dirty_epoch() != res.epoch {
+        if self.env.machine().mem().gpu_epoch() != res.epoch {
             return None;
         }
         Some(res)
     }
 
-    /// Runs the prologue `[0, split)` in resident mode: prologue actions
-    /// whose backing memory is provably unchanged since the anchor cleared
-    /// the dirty-line map are elided (registers, maps, and the table-base
-    /// switch are warm — the suffix cannot touch them, exactly the
-    /// inter-element invariant warm batches already rely on;
+    /// Runs the prologue `[0, split)` in resident mode: registers, maps,
+    /// and the table-base switch are warm — the suffix cannot touch them,
+    /// exactly the inter-element invariant warm batches already rely on;
     /// `residency_safe` guarantees no prologue action after the first
-    /// upload could observe memory). `Upload`s re-establish exactly what
-    /// changed:
-    ///
-    /// * dirty lines re-upload **only those lines** of the dump, clipped
-    ///   to it (the clean remainder provably already equals the
-    ///   post-prologue bytes);
-    /// * subranges the suffix overwrites before any read, and bytes a
-    ///   later prologue upload covers, skip restoration — nothing can
-    ///   observe them before their final content is re-established.
+    /// upload could observe memory. Each `Upload` restores exactly the
+    /// bytes of its dump the previous suffix wrote after first reading
+    /// them; every other dump byte either still holds its post-prologue
+    /// value (unwritten) or is overwritten before anything observes it.
+    /// Bytes a later prologue upload covers are skipped too. Uploads with
+    /// nothing to restore, and all other prologue actions, are elided.
     ///
     /// Returns `(fully_elided_actions, re_uploaded_bytes)`.
     fn run_prologue_resident(
@@ -588,14 +577,14 @@ impl Replayer {
         use gr_gpu::IntervalSet;
 
         let machine = self.env.machine().clone();
-        let mem = machine.mem().clone();
-        // Plan every upload in one reverse pass (reads only), then apply.
-        // `cover` is the union of the uploads after the current one:
-        // `residency_safe` guarantees nothing but uploads follow the first
-        // upload, so a byte a later upload covers is either rewritten by
-        // that upload's plan or already holds its (provably clean) final
-        // bytes. (The v3d recorder re-dumps its control-list page per job:
-        // 8 overlapping single-page uploads collapse to 1.)
+        let acc = &res.access;
+        // Plan every upload in one reverse pass, then apply. `cover` is
+        // the union of the uploads after the current one: `residency_safe`
+        // guarantees nothing but uploads follow the first upload, so a
+        // byte a later upload covers is either rewritten by that upload's
+        // plan or already holds its final bytes. (The v3d recorder
+        // re-dumps its control-list page per job: 8 overlapping
+        // single-page uploads collapse to 1.)
         let rec = &self.loaded[id].rec;
         let mut cover = IntervalSet::new();
         let mut plans: Vec<(usize, u32, IntervalSet)> = Vec::new();
@@ -605,36 +594,10 @@ impl Replayer {
             };
             let dump = &rec.dumps[dump_idx as usize];
             let (dva, dend) = (dump.va, dump.va + dump.bytes.len() as u64);
-            // VA and PA share offsets within a page, so the map's whole
-            // physical lines are whole lines in VA too; clip the first and
-            // last to the dump.
-            let mut dirty = IntervalSet::new();
-            let mut va = dva;
-            for (pa, plen) in self.nano.phys_ranges(dva, dend - dva)? {
-                for (s, e) in mem.dirty_lines(pa, plen) {
-                    dirty.insert(
-                        (va + s).saturating_sub(pa).max(dva),
-                        (va + e - pa).min(dend),
-                    );
-                }
-                va += plen as u64;
-            }
-            // A dirty byte needs restoring only when the suffix reads it
-            // before writing it, or does not rewrite it at all (then the
-            // post-batch image must still equal cold replay's), and no
-            // later upload covers it.
             let mut restore = IntervalSet::new();
-            for &(s, e) in dirty.intervals() {
-                let pieces = match &res.access {
-                    Some(acc) => {
-                        let mut p = acc.written.subtract_from(s, e);
-                        p.extend(acc.first_reads.clip(s, e));
-                        p
-                    }
-                    None => vec![(s, e)],
-                };
-                for (ps, pe) in pieces {
-                    for (rs, re) in cover.subtract_from(ps, pe) {
+            for (fs, fe) in acc.first_reads.clip(dva, dend) {
+                for (ws, we) in acc.written.clip(fs, fe) {
+                    for (rs, re) in cover.subtract_from(ws, we) {
                         restore.insert(rs, re);
                     }
                 }

@@ -8,23 +8,27 @@
 //! replayer snapshots two interval sets over GPU VAs:
 //!
 //! * **first reads** — bytes the suffix read before any suffix write
-//!   reached them: their pre-suffix content is observable, so a resident
-//!   batch must restore them when dirty;
-//! * **written** — bytes some suffix write fully re-established: a dirty
-//!   byte that is written and *not* first-read can skip restoration —
-//!   the suffix overwrites it before anything can observe it, and the
-//!   post-batch memory image still matches a cold replay bit for bit.
+//!   reached them: their pre-suffix content is observable;
+//! * **written** — bytes some suffix write re-established.
+//!
+//! Only the replayer and the GPU jobs it kicks write its frames, so a
+//! dump byte can differ from the post-prologue image only if it is
+//! written; a resident batch restores exactly the written bytes that are
+//! also first reads. A written byte that is not a first read is
+//! overwritten by the suffix before anything can observe it, so the
+//! post-batch memory image still matches a cold replay bit for bit.
 //!
 //! The access *ranges* are replay-static: every byte that influences
-//! decoding (lists, chains, blobs) is itself in the read set, so if the
-//! resident batch restores all first-read bytes, execution — and with it
-//! the access pattern — is identical to the previous batch's. Kernel
-//! addressing is shape-driven, never data-driven, which keeps the range
-//! sets independent of input values.
+//! decoding (lists, chains, blobs) is itself in the read set, so if every
+//! first-read byte holds its post-prologue content when the suffix
+//! starts, execution — and with it the access pattern — is identical to
+//! the previous batch's. Kernel addressing is shape-driven, never
+//! data-driven, which keeps the range sets independent of input values.
 //!
 //! The log is bounded: overflowing [`MAX_INTERVALS`] marks the batch
-//! incomplete and [`AccessLog::snapshot`] returns `None`, so consumers
-//! degrade to restoring every dirty range (conservative, never unsound).
+//! incomplete and [`AccessLog::snapshot`] returns `None`; the replayer
+//! then takes no residency anchor and the next batch runs the full
+//! prologue.
 
 use std::sync::Arc;
 
@@ -199,7 +203,7 @@ impl AccessLog {
     }
 
     /// The batch's access sets, or `None` when the log was never armed
-    /// or overflowed (consumers must then restore every dirty range).
+    /// or overflowed (there is then nothing to build residency on).
     pub fn snapshot(&self) -> Option<AccessSnapshot> {
         (self.armed && self.complete).then(|| AccessSnapshot {
             first_reads: self.first_reads.clone(),

@@ -377,9 +377,9 @@ impl MaliGpu {
         self.shader_pwron = 0;
         self.flushing = 0;
         self.tlb.flush();
-        // Reset invalidates every outstanding warm-residency mark, the
+        // Reset invalidates every outstanding warm-residency anchor, the
         // same way it invalidates cached translations.
-        self.mem.bump_dirty_epoch();
+        self.mem.bump_gpu_epoch();
         self.resetting = true;
         self.update_irq_lines();
         self.events
@@ -486,16 +486,16 @@ impl GpuDev for MaliGpu {
                 self.transtab_active = self.transtab_staged;
                 self.transcfg_active = self.transcfg_staged;
                 // Address-space switch: cached translations are stale, and
-                // so is any warm-residency mark taken under the old space.
+                // so is any warm-residency anchor taken under the old space.
                 self.tlb.flush();
-                self.mem.bump_dirty_epoch();
+                self.mem.bump_gpu_epoch();
             }
             // AS_CMD_FLUSH: TLB shootdown, instantaneous in the model.
             // Issued on unmap, where the freed frames may be recycled —
-            // outstanding residency marks are no longer trustworthy.
+            // outstanding residency anchors are no longer trustworthy.
             r::AS0_COMMAND if val == r::AS_CMD_FLUSH => {
                 self.tlb.flush();
-                self.mem.bump_dirty_epoch();
+                self.mem.bump_gpu_epoch();
             }
             r::JOB_IRQ_CLEAR => {
                 self.job_rawstat &= !val;

@@ -294,8 +294,8 @@ impl V3dGpu {
         self.ct0ea = 0;
         self.offline_fault_pending = false;
         self.tlb.flush();
-        // Reset invalidates warm-residency marks like cached translations.
-        self.mem.bump_dirty_epoch();
+        // Reset invalidates warm-residency anchors like cached translations.
+        self.mem.bump_gpu_epoch();
         self.update_irq_line();
         self.events
             .schedule(self.clock.now() + timing::SOFT_RESET_DELAY, Event::Reset);
@@ -357,21 +357,21 @@ impl GpuDev for V3dGpu {
             r::MMU_PT_BASE_LO => {
                 self.mmu_pt_base = (self.mmu_pt_base & !0xFFFF_FFFF) | u64::from(val);
                 self.tlb.flush();
-                self.mem.bump_dirty_epoch();
+                self.mem.bump_gpu_epoch();
             }
             r::MMU_PT_BASE_HI => {
                 self.mmu_pt_base = (self.mmu_pt_base & 0xFFFF_FFFF) | (u64::from(val) << 32);
                 self.tlb.flush();
-                self.mem.bump_dirty_epoch();
+                self.mem.bump_gpu_epoch();
             }
             r::MMU_CTRL => {
                 // Enable/disable or reconfigure acts as a TLB shootdown;
-                // warm-residency marks taken under the old config are stale
+                // warm-residency anchors taken under the old config are stale
                 // too. The TLB_CLEAR command bit is self-clearing: it forces
                 // the flush but is never stored.
                 self.mmu_ctrl = val & !r::MMU_CTRL_TLB_CLEAR;
                 self.tlb.flush();
-                self.mem.bump_dirty_epoch();
+                self.mem.bump_gpu_epoch();
             }
             r::CTL_RESET if val & 1 != 0 => {
                 if self.power_stable() {

@@ -27,11 +27,10 @@
 //!   own ticket (§5.4 recovery re-warms the machine mid-batch); the
 //!   worker, its warm state, and its batchmates all survive;
 //! * **cross-batch warm residency**: a worker serving consecutive batches
-//!   of the same recording elides the reset/upload/remap prologue when
-//!   the DRAM dirty-line map proves the machine's memory unchanged since
-//!   the previous batch, re-uploading only the dirty lines of a dump
-//!   (`DESIGN.md` §13); residency drops on recording switch and on GPU
-//!   reset or fault re-warm, and the elisions surface as
+//!   of the same recording elides the reset/upload/remap prologue,
+//!   re-uploading only the dump bytes the previous batch's suffix wrote
+//!   after first reading them (`DESIGN.md` §13); residency drops on
+//!   recording switch and on GPU reset or fault re-warm, and the elisions surface as
 //!   `ShardStats::prologue_skipped`;
 //! * **replay-progress clock**: after each formed batch a worker advances
 //!   the service clock to its machine's virtual timeline, so queued
@@ -161,9 +160,10 @@ pub struct ShardSpec {
     /// disables dynamic batching).
     pub max_batch: usize,
     /// Cross-batch warm residency on the shard's workers (on by default):
-    /// consecutive batches of the same recording elide the prologue when
-    /// the dirty-line map proves the machine's memory unchanged. Benchmarks
-    /// turn it off to measure the per-batch-prologue baseline.
+    /// consecutive batches of the same recording elide the prologue and
+    /// restore only the dump bytes the previous suffix wrote after first
+    /// reading them. Benchmarks turn it off to measure the
+    /// per-batch-prologue baseline.
     pub residency: bool,
 }
 

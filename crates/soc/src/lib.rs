@@ -28,7 +28,6 @@
 //! # Ok::<(), gr_soc::MemError>(())
 //! ```
 
-pub mod dirty;
 pub mod frames;
 pub mod irq;
 pub mod mailbox;
@@ -36,7 +35,6 @@ pub mod mem;
 pub mod mmio;
 pub mod pmc;
 
-pub use dirty::{DirtyLines, DIRTY_LINE};
 pub use frames::FrameAllocator;
 pub use irq::{IrqController, IrqLine};
 pub use mailbox::{Mailbox, MboxRequest, MboxStatus};

@@ -1,25 +1,30 @@
 //! Cross-batch warm residency: consecutive `replay_batch` calls for the
-//! same recording elide the prologue when the DRAM dirty-line map proves
-//! the machine's memory unchanged — and the result must be bit-identical
-//! to a cold (residency-disabled) replayer on both SKUs (proptest),
-//! including:
+//! same recording elide the prologue and restore only the dump bytes the
+//! previous batch's suffix wrote after first reading them (its GPU access
+//! sets) — and the result must be bit-identical to a cold
+//! (residency-disabled) replayer on both SKUs (proptest), including:
 //!
-//! * an adversarial external write that dirties one byte of a dump
-//!   between batches, behind thousands of writes to unmapped DRAM —
-//!   exactly that line re-uploads, everything else stays elided, outputs
-//!   stay bit-exact;
-//! * a §5.4 fault mid-batch — the recovery reset bumps the dirty-map
-//!   epoch, so the *next* batch must drop residency and run the full
-//!   prologue;
+//! * the memory image: after every batch, every dump range and output
+//!   slot reads back byte-identical on a resident and a cold replayer,
+//!   which pins the premise that every suffix write reaches the access
+//!   log;
+//! * 20,000 writes to DRAM no frame backs between batches — they cost
+//!   no re-upload and no elision (only the replayer and its GPU jobs
+//!   write its frames, so nothing outside them is consulted);
+//! * checkpointing, which reads memory outside the access log, so no
+//!   batch may elide;
+//! * a §5.4 fault mid-batch — the recovery reset bumps the GPU epoch, so
+//!   the *next* batch must drop residency and run the full prologue;
 //! * two replayers interleaving batches on one machine — each batch
 //!   switches the page-table root, so neither may ever elide.
 
 use std::sync::OnceLock;
 
 use gpureplay::prelude::*;
-use gr_gpu::{FaultKind, GpuSku, PteFormat};
+use gr_gpu::{FaultKind, GpuSku, IntervalSet, PteFormat};
 use gr_mlfw::cpu_ref;
 use gr_mlfw::exec::GpuNetwork;
+use gr_recording::Action;
 use gr_sim::SimRng;
 use proptest::prelude::*;
 
@@ -174,8 +179,7 @@ proptest! {
 }
 
 /// Resolves the physical address backing GPU VA `va` by walking the
-/// family's page tables exactly as the hardware would — the test acts as
-/// an external agent writing DRAM behind the replayer's back.
+/// family's page tables exactly as the hardware would.
 fn gpu_va_to_pa(machine: &Machine, va: u64) -> u64 {
     match machine.sku().family {
         gr_gpu::GpuFamilyKind::Mali => {
@@ -187,7 +191,7 @@ fn gpu_va_to_pa(machine: &Machine, va: u64) -> u64 {
                 _ => PteFormat::MaliStandard,
             };
             gr_gpu::mali::pgtable::translate(machine.mem(), fmt, root, va & !0xFFF)
-                .expect("dump va must be mapped")
+                .expect("va must be mapped")
                 .0
                 + (va & 0xFFF)
         }
@@ -196,43 +200,115 @@ fn gpu_va_to_pa(machine: &Machine, va: u64) -> u64 {
             let hi = u64::from(machine.gpu_read32(gr_gpu::v3d::regs::MMU_PT_BASE_HI));
             let root = lo | (hi << 32);
             gr_gpu::v3d::pgtable::translate(machine.mem(), root, va & !0xFFF)
-                .expect("dump va must be mapped")
+                .expect("va must be mapped")
                 .0
                 + (va & 0xFFF)
         }
     }
 }
 
-/// Per-dump verdict: `(dump_idx, fully_clean, Option<(clean_page_va,
-/// chunk_len)>)`.
-type DumpCleanliness = Vec<(usize, bool, Option<(u64, usize)>)>;
-
-/// Per-dump page cleanliness since the last batch's residency anchor
-/// cleared the dirty-line map, read through the public API.
-fn dump_cleanliness(machine: &Machine, bytes: &[u8]) -> DumpCleanliness {
-    let rec = Recording::from_bytes(bytes).unwrap();
-    rec.dumps
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let mut fully_clean = true;
-            let mut clean_page = None;
-            for off in (0..d.bytes.len()).step_by(4096) {
-                let va = d.va + off as u64;
-                let len = (d.bytes.len() - off).min(4096 - (va as usize & 0xFFF));
-                let pa = gpu_va_to_pa(machine, va);
-                if machine.mem().dirty_lines(pa, len).is_empty() {
-                    clean_page.get_or_insert((va, len));
-                } else {
-                    fully_clean = false;
-                }
-            }
-            (i, fully_clean, clean_page)
-        })
-        .collect()
+/// Reads GPU-virtual `[va, va + len)` page by page through the page
+/// tables, the way the GPU sees it.
+fn read_gpu_va(machine: &Machine, va: u64, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let cur = va + out.len() as u64;
+        let n = (len - out.len()).min(4096 - (cur as usize & 0xFFF));
+        out.extend(
+            machine
+                .mem()
+                .read_vec(gpu_va_to_pa(machine, cur), n)
+                .unwrap(),
+        );
+    }
+    out
 }
 
-fn dirty_one_page_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, seed: u64) {
+/// Asserts the premise residency rests on: after a batch, every byte of
+/// a prologue upload that no longer holds its post-prologue value lies in
+/// the suffix's written set. Each byte is compared with the last prologue
+/// upload covering it (`residency_safe` puts nothing but uploads after
+/// the first one).
+fn assert_changes_are_logged(machine: &Machine, rec: &Recording, split: usize, batch: u64) {
+    let written = machine
+        .gpu_access()
+        .snapshot()
+        .expect("the suffix access log must be complete")
+        .written;
+    let mut cover = IntervalSet::new();
+    for ta in rec.actions[..split].iter().rev() {
+        let Action::Upload { dump_idx } = ta.action else {
+            continue;
+        };
+        let dump = &rec.dumps[dump_idx as usize];
+        let end = dump.va + dump.bytes.len() as u64;
+        for (s, e) in cover.subtract_from(dump.va, end) {
+            let now = read_gpu_va(machine, s, (e - s) as usize);
+            let was = &dump.bytes[(s - dump.va) as usize..(e - dump.va) as usize];
+            for (i, _) in now.iter().zip(was).enumerate().filter(|(_, (a, b))| a != b) {
+                let va = s + i as u64;
+                assert!(
+                    written.covers(va, va + 1),
+                    "batch {batch}: dump {dump_idx} byte {va:#x} changed but no suffix write was logged"
+                );
+            }
+        }
+        cover.insert(dump.va, end);
+    }
+}
+
+/// Runs 3 batches on a resident and on a cold replayer with the same
+/// inputs. After each, every changed byte of a prologue upload must be in
+/// the logged written set, and every dump range and every output slot
+/// must read back byte-identical on the two machines.
+fn memory_image_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, seed: u64) {
+    let (mut warm, warm_id, warm_machine) = make_replayer(sku_ref, env, &rec.bytes, seed, true);
+    let (mut cold, cold_id, cold_machine) = make_replayer(sku_ref, env, &rec.bytes, seed, false);
+    let layout = Recording::from_bytes(&rec.bytes).unwrap();
+    let ranges: Vec<(u64, usize)> = layout
+        .dumps
+        .iter()
+        .map(|d| (d.va, d.bytes.len()))
+        .chain(layout.outputs.iter().map(|o| (o.va, o.len as usize)))
+        .collect();
+    for b in 0..3u64 {
+        let inputs: Vec<Vec<f32>> = (0..2)
+            .map(|k| random_input(rec.net.input_len(), seed + b * 10 + k))
+            .collect();
+        let mut ios = ios_for(&warm, warm_id, &inputs);
+        let report = warm.replay_batch(warm_id, &mut ios).unwrap();
+        assert_eq!(report.prologue_skipped > 0, b > 0, "batch {b}: {report:?}");
+        let mut ios = ios_for(&cold, cold_id, &inputs);
+        cold.replay_batch(cold_id, &mut ios).unwrap();
+        for machine in [&warm_machine, &cold_machine] {
+            assert_changes_are_logged(machine, &layout, report.prologue_actions, b);
+        }
+        for (k, &(va, len)) in ranges.iter().enumerate() {
+            assert!(
+                read_gpu_va(&warm_machine, va, len) == read_gpu_va(&cold_machine, va, len),
+                "batch {b} range {k} at {va:#x} (+{len}): resident image diverged from cold"
+            );
+        }
+    }
+    warm.cleanup();
+    cold.cleanup();
+}
+
+#[test]
+fn resident_memory_image_matches_cold_after_every_batch_mali() {
+    memory_image_case(&sku::MALI_G71, EnvKind::UserLevel, mali(), 7500);
+}
+
+#[test]
+fn resident_memory_image_matches_cold_after_every_batch_v3d() {
+    memory_image_case(&sku::V3D_RPI4, EnvKind::KernelLevel, v3d(), 7600);
+}
+
+/// 20,000 scattered single-byte writes to DRAM that no frame backs,
+/// between two resident batches: the next batch re-uploads the same
+/// bytes and elides the same actions as the steady batch before it, with
+/// bit-exact outputs.
+fn unowned_writes_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, seed: u64) {
     let (mut warm, id, machine) = make_replayer(sku_ref, env, &rec.bytes, seed, true);
     let inputs: Vec<Vec<f32>> = (0..2)
         .map(|k| random_input(rec.net.input_len(), seed + k))
@@ -244,19 +320,6 @@ fn dirty_one_page_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, s
     let steady = warm.replay_batch(id, &mut ios).unwrap();
     assert!(steady.prologue_skipped > 0, "{steady:?}");
 
-    // External agent scribbles one byte into a page the steady-state
-    // batch provably kept clean (and therefore elided). Prefer a fully
-    // clean dump (its whole upload was skipped); fall back to a clean
-    // page of a partially-dirty dump (only its dirty subranges re-upload).
-    let lanes = dump_cleanliness(&machine, &rec.bytes);
-    let (poke_page_va, _, dump_was_fully_clean) = lanes
-        .iter()
-        .filter_map(|(_, clean, page)| page.map(|(va, len)| (va, len, *clean)))
-        .max_by_key(|&(_, len, clean)| (clean, len))
-        .expect("steady-state batches must keep at least one dump page clean");
-    // First, 20,000 scattered single-byte writes to DRAM no frame backs,
-    // far more than a bounded write log could keep: the map is exact, so
-    // none of them may cost a re-upload.
     let scratch = machine.mem().end() - 4 * 1024 * 1024;
     for page in (scratch..machine.mem().end()).step_by(4096) {
         assert!(!machine.frames().lock().is_allocated(page));
@@ -264,53 +327,70 @@ fn dirty_one_page_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, s
     for i in 0..20_000u64 {
         machine.mem().write(scratch + i * 200, &[i as u8]).unwrap();
     }
-    // Then poke one byte mid-page, off the 64-byte transfer-line grid.
-    let poke_va = poke_page_va + 0x7B3;
-    let pa = gpu_va_to_pa(&machine, poke_va);
-    machine.mem().write(pa, &[0xAB]).unwrap();
 
     let mut ios = ios_for(&warm, id, &inputs);
-    let dirtied = warm.replay_batch(id, &mut ios).unwrap();
-    // Only the dirtied range re-uploads — rounded out to the 64-byte
-    // transfer line around the poked byte, nothing more.
+    let after = warm.replay_batch(id, &mut ios).unwrap();
     assert_eq!(
-        dirtied.resident_reupload_bytes,
-        steady.resident_reupload_bytes + 64,
-        "exactly the dirtied line must re-upload: {dirtied:?} vs {steady:?}"
+        (after.resident_reupload_bytes, after.prologue_skipped),
+        (steady.resident_reupload_bytes, steady.prologue_skipped),
+        "writes outside the replayer's frames must not change the restore: {after:?} vs {steady:?}"
     );
-    if dump_was_fully_clean {
-        // The previously fully-elided upload action now runs (partially).
-        assert_eq!(
-            dirtied.prologue_skipped,
-            steady.prologue_skipped - 1,
-            "the dirtied dump's upload action must run: {dirtied:?}"
-        );
-    } else {
-        assert_eq!(dirtied.prologue_skipped, steady.prologue_skipped);
-    }
-    // The re-upload restored the dump bytes: outputs stay bit-exact.
     for (k, input) in inputs.iter().enumerate() {
         assert_eq!(
             ios[k].output_f32(0).unwrap(),
             cpu_ref::cpu_infer(&rec.net, input),
-            "element {k} corrupted by the external write"
+            "element {k}"
         );
     }
     warm.cleanup();
 }
 
 #[test]
-fn dirtied_dump_page_triggers_reupload_of_that_range_only_mali() {
-    dirty_one_page_case(&sku::MALI_G71, EnvKind::UserLevel, mali(), 7100);
+fn writes_outside_the_replayers_frames_cost_nothing_mali() {
+    unowned_writes_case(&sku::MALI_G71, EnvKind::UserLevel, mali(), 7100);
 }
 
 #[test]
-fn dirtied_dump_page_triggers_reupload_of_that_range_only_v3d() {
-    dirty_one_page_case(&sku::V3D_RPI4, EnvKind::KernelLevel, v3d(), 7200);
+fn writes_outside_the_replayers_frames_cost_nothing_v3d() {
+    unowned_writes_case(&sku::V3D_RPI4, EnvKind::KernelLevel, v3d(), 7200);
 }
 
-/// A §5.4 fault mid-batch resets the GPU, which bumps the dirty-log
-/// epoch: the faulted batch still completes bit-exactly (recovery), and
+/// Checkpoints read and restore memory outside the access log, so a
+/// checkpointing replayer leaves no residency: every batch runs the full
+/// prologue, and outputs stay bit-exact.
+fn checkpointing_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, seed: u64) {
+    let (mut replayer, id, _) = make_replayer(sku_ref, env, &rec.bytes, seed, true);
+    replayer.checkpoint_every_jobs = Some(1);
+    for b in 0..3u64 {
+        let inputs: Vec<Vec<f32>> = (0..2)
+            .map(|k| random_input(rec.net.input_len(), seed + b * 10 + k))
+            .collect();
+        let mut ios = ios_for(&replayer, id, &inputs);
+        let report = replayer.replay_batch(id, &mut ios).unwrap();
+        assert!(report.amortized);
+        assert_eq!(report.prologue_skipped, 0, "batch {b}: {report:?}");
+        for (k, input) in inputs.iter().enumerate() {
+            assert_eq!(
+                ios[k].output_f32(0).unwrap(),
+                cpu_ref::cpu_infer(&rec.net, input),
+                "batch {b} element {k}"
+            );
+        }
+    }
+    replayer.cleanup();
+}
+
+#[test]
+fn checkpointing_replayer_never_elides_mali() {
+    checkpointing_case(&sku::MALI_G71, EnvKind::UserLevel, mali(), 7700);
+}
+
+#[test]
+fn checkpointing_replayer_never_elides_v3d() {
+    checkpointing_case(&sku::V3D_RPI4, EnvKind::KernelLevel, v3d(), 7800);
+}
+
+/// A §5.4 fault mid-batch resets the GPU, which bumps the GPU epoch: the faulted batch still completes bit-exactly (recovery), and
 /// the *next* batch must run the full prologue (residency dropped).
 #[test]
 fn fault_rewarm_drops_residency() {
@@ -356,10 +436,9 @@ fn fault_rewarm_drops_residency() {
 }
 
 /// Two replayers on one machine interleave batches of the same
-/// recording. The dirty-line map has one window per machine, cleared by
-/// whichever replayer anchored last; every batch switches the page-table
-/// root to its own replayer's tables, which bumps the epoch, so neither
-/// replayer may ever trust an anchor — and every output stays bit-exact.
+/// recording. Every batch switches the page-table root to its own
+/// replayer's tables, which bumps the GPU epoch, so neither replayer may
+/// ever trust an anchor — and every output stays bit-exact.
 fn two_replayers_case(sku_ref: &'static GpuSku, env: EnvKind, rec: &Recorded, seed: u64) {
     let machine = Machine::with_dram(sku_ref, seed, TEST_DRAM);
     let mut replayers: Vec<(Replayer, usize)> = (0..2)
