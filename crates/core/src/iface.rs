@@ -6,10 +6,12 @@
 //! which writes kick jobs, and how to reset. This is the "no more than 1K
 //! SLoC per GPU family" knowledge the paper extracts from the open driver.
 
+use std::collections::BTreeMap;
+
 use gr_gpu::machine::Machine;
 use gr_gpu::sku::GpuFamilyKind;
 use gr_gpu::{mali, v3d};
-use gr_soc::PAGE_SIZE;
+use gr_soc::{MemError, PhysMem, PAGE_SIZE};
 
 use crate::error::ReplayError;
 
@@ -175,111 +177,77 @@ impl NanoIface {
         Ok(())
     }
 
-    /// Allocates the family's (empty) top-level page table, returning
-    /// `(root_pa, frames_used)`.
-    pub fn alloc_root(self, machine: &Machine) -> Result<(u64, Vec<u64>), ReplayError> {
-        let mut frames = machine.frames().lock();
+    /// Frames in the family's top-level page table: one Mali L1 table, or
+    /// the whole flat v3d table.
+    pub(crate) fn root_pages(self) -> usize {
         match self {
-            NanoIface::Mali => {
-                let root = frames
-                    .alloc_zeroed(machine.mem())
-                    .map_err(|_| ReplayError::OutOfMemory)?
-                    .ok_or(ReplayError::OutOfMemory)?;
-                Ok((root, vec![root]))
-            }
-            NanoIface::V3d => {
-                let base = frames
-                    .alloc_contig(v3d::pgtable::PT_PAGES)
-                    .ok_or(ReplayError::OutOfMemory)?;
-                for i in 0..v3d::pgtable::PT_PAGES {
-                    machine
-                        .mem()
-                        .fill(base + (i * PAGE_SIZE) as u64, PAGE_SIZE, 0)
-                        .map_err(|_| ReplayError::OutOfMemory)?;
-                }
-                let pages = (0..v3d::pgtable::PT_PAGES)
-                    .map(|i| base + (i * PAGE_SIZE) as u64)
-                    .collect();
-                Ok((base, pages))
-            }
+            NanoIface::Mali => 1,
+            NanoIface::V3d => v3d::pgtable::PT_PAGES,
         }
     }
 
-    /// Writes a PTE mapping `va → pa` with the *opaque* recorded flag
-    /// bits. The nano driver only knows where the PA field lives (Table 1
-    /// "Pgtables" knowledge); the permission bits pass through untouched.
-    ///
-    /// For Mali this may allocate an L2 table frame, returned for
-    /// bookkeeping.
-    pub fn map_page_raw(
+    /// Allocates the family's top-level page table as
+    /// [`NanoIface::root_pages`] contiguous frames, zeroes it with one fill
+    /// and returns its base.
+    pub(crate) fn alloc_root(self, machine: &Machine) -> Result<u64, ReplayError> {
+        let pages = self.root_pages();
+        let root = machine
+            .frames()
+            .lock()
+            .alloc_contig(pages)
+            .ok_or(ReplayError::OutOfMemory)?;
+        machine
+            .mem()
+            .fill(root, pages * PAGE_SIZE, 0)
+            .map_err(|_| ReplayError::OutOfMemory)?;
+        Ok(root)
+    }
+
+    /// The L1 slot whose L2 table maps `va` (Mali), or `None` for a
+    /// single-level family (v3d), whose whole table is the root.
+    pub(crate) fn table_slot(self, va: u64) -> Option<u64> {
+        match self {
+            NanoIface::Mali => Some((va >> MALI_L1_SHIFT) & MALI_IDX_MASK),
+            NanoIface::V3d => None,
+        }
+    }
+
+    /// Writes the PTEs of the region at `va` backed by frames `pas`: with
+    /// `flags`, page `i` maps `pas[i]` carrying the *opaque* recorded bits
+    /// `flags[i]`; without, every PTE is cleared. The nano driver only
+    /// knows where the PA field lives (Table 1 "Pgtables" knowledge); the
+    /// permission bits pass through untouched. On Mali it also points the
+    /// L1 entry of each slot the region covers at that slot's L2 table,
+    /// which `tables` (L1 slot → table PA) must hold.
+    pub(crate) fn write_region(
         self,
-        machine: &Machine,
+        mem: &mut PhysMem,
         root_pa: u64,
+        tables: &BTreeMap<u64, u64>,
         va: u64,
-        pa: u64,
-        raw_flags: u16,
-    ) -> Result<Option<u64>, ReplayError> {
-        let mem = machine.mem();
-        match self {
-            NanoIface::Mali => {
-                let l1_pa = root_pa + ((va >> MALI_L1_SHIFT) & MALI_IDX_MASK) * 8;
-                let l1 = mem.read_u64(l1_pa).map_err(|_| ReplayError::OutOfMemory)?;
-                let (l2_pa, new_frame) = if l1 & 1 != 0 {
-                    (l1 & MALI_PA_MASK, None)
-                } else {
-                    let f = machine
-                        .frames()
-                        .lock()
-                        .alloc_zeroed(mem)
-                        .map_err(|_| ReplayError::OutOfMemory)?
-                        .ok_or(ReplayError::OutOfMemory)?;
-                    mem.write_u64(l1_pa, (f & MALI_PA_MASK) | 1)
-                        .map_err(|_| ReplayError::OutOfMemory)?;
-                    (f, Some(f))
-                };
-                let pte_pa = l2_pa + ((va >> MALI_L2_SHIFT) & MALI_IDX_MASK) * 8;
-                mem.write_u64(pte_pa, (pa & MALI_PA_MASK) | u64::from(raw_flags))
-                    .map_err(|_| ReplayError::OutOfMemory)?;
-                Ok(new_frame)
-            }
-            NanoIface::V3d => {
-                let pte_pa = root_pa + (va >> 12) * 4;
-                let pte = (((pa >> 12) as u32) << 4) | u32::from(raw_flags & 0xF);
-                mem.write_u32(pte_pa, pte)
-                    .map_err(|_| ReplayError::OutOfMemory)?;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Clears the PTE at `va`.
-    pub fn unmap_page_raw(self, machine: &Machine, root_pa: u64, va: u64) {
-        let mem = machine.mem();
-        match self {
-            NanoIface::Mali => {
-                if let Ok(l1) = mem.read_u64(root_pa + ((va >> MALI_L1_SHIFT) & MALI_IDX_MASK) * 8)
-                {
-                    if l1 & 1 != 0 {
-                        let pte_pa =
-                            (l1 & MALI_PA_MASK) + ((va >> MALI_L2_SHIFT) & MALI_IDX_MASK) * 8;
-                        let _ = mem.write_u64(pte_pa, 0);
+        pas: &[u64],
+        flags: Option<&[u16]>,
+    ) -> Result<(), MemError> {
+        for (i, &pa) in pas.iter().enumerate() {
+            let va = va + (i * PAGE_SIZE) as u64;
+            let bits = flags.map(|f| f[i]);
+            match self {
+                NanoIface::Mali => {
+                    let slot = (va >> MALI_L1_SHIFT) & MALI_IDX_MASK;
+                    let table = tables[&slot];
+                    if i == 0 || va % (1 << MALI_L1_SHIFT) == 0 {
+                        mem.write_u64(root_pa + slot * 8, (table & MALI_PA_MASK) | 1)?;
                     }
+                    let pte = bits.map_or(0, |b| (pa & MALI_PA_MASK) | u64::from(b));
+                    mem.write_u64(table + ((va >> MALI_L2_SHIFT) & MALI_IDX_MASK) * 8, pte)?;
+                }
+                NanoIface::V3d => {
+                    let pte = bits.map_or(0, |b| (((pa >> 12) as u32) << 4) | u32::from(b & 0xF));
+                    mem.write_u32(root_pa + (va >> 12) * 4, pte)?;
                 }
             }
-            NanoIface::V3d => {
-                let _ = mem.write_u32(root_pa + (va >> 12) * 4, 0);
-            }
         }
-    }
-
-    /// Clears the first-level entry covering `va`: undoes the L2 table
-    /// allocation [`NanoIface::map_page_raw`] reported for it (Mali; the
-    /// v3d table is single-level and allocated up front).
-    pub(crate) fn unmap_table_raw(self, machine: &Machine, root_pa: u64, va: u64) {
-        if self == NanoIface::Mali {
-            let l1_pa = root_pa + ((va >> MALI_L1_SHIFT) & MALI_IDX_MASK) * 8;
-            let _ = machine.mem().write_u64(l1_pa, 0);
-        }
+        Ok(())
     }
 
     /// The VA-space limit of the family.
@@ -313,47 +281,61 @@ mod tests {
 
     #[test]
     fn raw_mapping_preserves_opaque_flags_mali() {
+        const VA: u64 = 0x40_0000;
         let machine = Machine::new(&MALI_G71, 1);
         let iface = NanoIface::Mali;
-        let (root, _) = iface.alloc_root(&machine).unwrap();
-        let frame = machine.frames().lock().alloc().unwrap();
+        let root = iface.alloc_root(&machine).unwrap();
+        let (table, frame) = {
+            let mut frames = machine.frames().lock();
+            (frames.alloc().unwrap(), frames.alloc().unwrap())
+        };
+        machine.mem().fill(table, PAGE_SIZE, 0).unwrap();
+        let tables = BTreeMap::from([(iface.table_slot(VA).unwrap(), table)]);
+        let write = |flags| {
+            let mut g = machine.mem().write_guard();
+            iface
+                .write_region(&mut g, root, &tables, VA, &[frame], flags)
+                .unwrap();
+        };
+        let translate = || {
+            gr_gpu::mali::pgtable::translate(
+                machine.mem(),
+                gr_gpu::PteFormat::MaliStandard,
+                root,
+                VA,
+            )
+        };
         // Map with raw bits 0xF (whatever they mean) and read back through
         // the device's own walker in standard format.
-        iface
-            .map_page_raw(&machine, root, 0x40_0000, frame, 0xF)
-            .unwrap();
-        let (pa, flags) = gr_gpu::mali::pgtable::translate(
-            machine.mem(),
-            gr_gpu::PteFormat::MaliStandard,
-            root,
-            0x40_0000,
-        )
-        .unwrap();
+        write(Some(&[0xF]));
+        let (pa, flags) = translate().unwrap();
         assert_eq!(pa, frame);
         assert!(flags.valid && flags.write && flags.exec && flags.cpu_mapped);
-        iface.unmap_page_raw(&machine, root, 0x40_0000);
-        assert!(gr_gpu::mali::pgtable::translate(
-            machine.mem(),
-            gr_gpu::PteFormat::MaliStandard,
-            root,
-            0x40_0000
-        )
-        .is_none());
+        write(None);
+        assert!(translate().is_none());
     }
 
     #[test]
     fn raw_mapping_v3d() {
+        const VA: u64 = 0x9000;
         let machine = Machine::new(&V3D_RPI4, 1);
         let iface = NanoIface::V3d;
-        let (root, frames) = iface.alloc_root(&machine).unwrap();
-        assert_eq!(frames.len(), v3d::pgtable::PT_PAGES);
+        let root = iface.alloc_root(&machine).unwrap();
+        assert_eq!(machine.frames().lock().used(), v3d::pgtable::PT_PAGES);
+        assert_eq!(iface.table_slot(VA), None);
         let frame = machine.frames().lock().alloc().unwrap();
-        iface
-            .map_page_raw(&machine, root, 0x9000, frame, 0x3)
-            .unwrap();
-        let (pa, fl) = gr_gpu::v3d::pgtable::translate(machine.mem(), root, 0x9000).unwrap();
+        let write = |flags| {
+            let mut g = machine.mem().write_guard();
+            iface
+                .write_region(&mut g, root, &BTreeMap::new(), VA, &[frame], flags)
+                .unwrap();
+        };
+        write(Some(&[0x3]));
+        let (pa, fl) = gr_gpu::v3d::pgtable::translate(machine.mem(), root, VA).unwrap();
         assert_eq!(pa, frame);
         assert!(fl.write);
+        write(None);
+        assert!(gr_gpu::v3d::pgtable::translate(machine.mem(), root, VA).is_none());
     }
 
     #[test]

@@ -1,13 +1,20 @@
 //! The nano GPU driver (§5.2) — "it only has 600 SLoC".
 //!
-//! Most functions map directly to replay actions: mapping GPU memory by
-//! rebuilding page tables from recorded (opaque) PTE flag bits, loading
-//! memory dumps at virtual addresses, copying data in and out, and
-//! pointing the GPU at the rebuilt tables. It allocates its own physical
-//! frames (always zeroed — the §5.1 "no sensitive data" guarantee) and
-//! never interprets dump contents.
+//! Most functions map directly to replay actions: mapping a GPU memory
+//! region by rebuilding page tables from recorded (opaque) PTE flag bits,
+//! loading memory dumps at virtual addresses, copying data in and out,
+//! and pointing the GPU at the rebuilt tables. It allocates its own
+//! physical frames (always zeroed — the §5.1 "no sensitive data"
+//! guarantee) and never interprets dump contents.
+//!
+//! It works a whole region at a time, and allocates before it writes:
+//! `map` takes every frame a region needs (data pages and Mali L2 tables)
+//! under one frame-allocator hold, then zeroes them and writes the L1
+//! entries and PTEs under one DRAM guard. A map that runs out of frames
+//! therefore fails before touching DRAM, and the §5.4 recovery remap
+//! rewrites the tables from bookkeeping without allocating.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use gr_gpu::machine::Machine;
 use gr_soc::PAGE_SIZE;
@@ -16,9 +23,8 @@ use crate::costs;
 use crate::error::ReplayError;
 use crate::iface::NanoIface;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct NanoRegion {
-    pages: usize,
     pas: Vec<u64>,
     flags: Vec<u16>,
 }
@@ -28,7 +34,9 @@ pub struct NanoDriver {
     machine: Machine,
     iface: NanoIface,
     root_pa: u64,
-    table_frames: Vec<u64>,
+    /// Mali L2 tables by L1 slot. A table outlives the regions in its
+    /// slot and is freed only by [`NanoDriver::release`].
+    tables: BTreeMap<u64, u64>,
     regions: BTreeMap<u64, NanoRegion>,
 }
 
@@ -47,19 +55,20 @@ impl NanoDriver {
     ///
     /// Fails when physical memory is exhausted.
     pub fn new(machine: Machine, iface: NanoIface) -> Result<NanoDriver, ReplayError> {
-        let (root_pa, table_frames) = iface.alloc_root(&machine)?;
+        let root_pa = iface.alloc_root(&machine)?;
         Ok(NanoDriver {
             machine,
             iface,
             root_pa,
-            table_frames,
+            tables: BTreeMap::new(),
             regions: BTreeMap::new(),
         })
     }
 
     /// Physical pages currently consumed (tables + mapped regions).
     pub fn phys_pages(&self) -> u64 {
-        self.table_frames.len() as u64 + self.regions.values().map(|r| r.pages as u64).sum::<u64>()
+        let data: usize = self.regions.values().map(|r| r.pas.len()).sum();
+        (self.iface.root_pages() + self.tables.len() + data) as u64
     }
 
     /// Implements `SetGPUPgtable`: writes the GPU's table-base register
@@ -70,16 +79,17 @@ impl NanoDriver {
 
     /// Implements `MapGPUMem`: allocates zeroed frames and writes PTEs
     /// carrying the recorded flag bits. Idempotent: re-mapping the same
-    /// base VA with the same page count is a no-op (recordings replayed
+    /// base VA with the same flags is a no-op (recordings replayed
     /// back-to-back in one session share their address space).
     ///
     /// # Errors
     ///
-    /// Fails on OOM or a conflicting existing mapping. A failed map is
-    /// rolled back: it leaves no PTE and no frame (data or table) behind.
+    /// Fails on OOM or a conflicting existing mapping (other page count or
+    /// other flags). Every frame is taken before any DRAM is written, so a
+    /// map that runs out of frames leaves no PTE and no frame behind.
     pub fn map(&mut self, va: u64, flags: &[u16]) -> Result<(), ReplayError> {
         if let Some(existing) = self.regions.get(&va) {
-            if existing.pages == flags.len() {
+            if existing.flags == flags {
                 return Ok(());
             }
             return Err(ReplayError::Verify(format!(
@@ -88,60 +98,40 @@ impl NanoDriver {
         }
         self.machine
             .advance(costs::MAP_PER_PAGE * flags.len() as u64);
-        let tables0 = self.table_frames.len();
-        let (mut pas, mut new_tables) = (Vec::with_capacity(flags.len()), Vec::new());
-        if let Err(e) = self.map_pages(va, flags, &mut pas, &mut new_tables) {
-            self.unmap_pages(va, &pas);
-            for table_va in new_tables {
+        let n = flags.len();
+        let slots: BTreeSet<u64> = (0..n)
+            .filter_map(|i| self.iface.table_slot(va + (i * PAGE_SIZE) as u64))
+            .filter(|slot| !self.tables.contains_key(slot))
+            .collect();
+        let mut fresh: Vec<u64> = {
+            let mut frames = self.machine.frames().lock();
+            if frames.free_count() < n + slots.len() {
+                return Err(ReplayError::OutOfMemory);
+            }
+            std::iter::from_fn(|| frames.alloc())
+                .take(n + slots.len())
+                .collect()
+        };
+        self.tables
+            .extend(slots.into_iter().zip(fresh[n..].iter().copied()));
+        let mut g = self.machine.mem().write_guard();
+        let written = fresh
+            .iter()
+            .try_for_each(|&f| g.fill(f, PAGE_SIZE, 0))
+            .and_then(|()| {
+                let pas = &fresh[..n];
                 self.iface
-                    .unmap_table_raw(&self.machine, self.root_pa, table_va);
-            }
-            for f in self.table_frames.drain(tables0..) {
-                let _ = self.machine.frames().lock().free(f);
-            }
-            return Err(e);
-        }
-        self.regions.insert(
-            va,
-            NanoRegion {
-                pages: flags.len(),
-                pas,
-                flags: flags.to_vec(),
-            },
-        );
-        Ok(())
-    }
-
-    /// Allocates a zeroed frame per page and writes its PTE, recording
-    /// every frame in `pas` and the page VA of every page-table frame it
-    /// allocates in `new_tables` as it goes, so a failure part-way can be
-    /// rolled back.
-    fn map_pages(
-        &mut self,
-        va: u64,
-        flags: &[u16],
-        pas: &mut Vec<u64>,
-        new_tables: &mut Vec<u64>,
-    ) -> Result<(), ReplayError> {
-        for (i, &bits) in flags.iter().enumerate() {
-            let page_va = va + (i * PAGE_SIZE) as u64;
-            let pa = self
-                .machine
-                .frames()
-                .lock()
-                .alloc_zeroed(self.machine.mem())
-                .map_err(|_| ReplayError::OutOfMemory)?
-                .ok_or(ReplayError::OutOfMemory)?;
-            pas.push(pa);
-            if let Some(table_frame) =
-                self.iface
-                    .map_page_raw(&self.machine, self.root_pa, page_va, pa, bits)?
-            {
-                self.table_frames.push(table_frame);
-                new_tables.push(page_va);
-            }
-        }
-        Ok(())
+                    .write_region(&mut g, self.root_pa, &self.tables, va, pas, Some(flags))
+            });
+        drop(g);
+        // Recorded even if a write failed, so `release` still frees them.
+        fresh.truncate(n);
+        let region = NanoRegion {
+            pas: fresh,
+            flags: flags.to_vec(),
+        };
+        self.regions.insert(va, region);
+        written.map_err(|_| ReplayError::OutOfMemory)
     }
 
     /// Implements `UnMapGPUMem`: clears PTEs and frees frames.
@@ -154,48 +144,55 @@ impl NanoDriver {
             .regions
             .remove(&va)
             .ok_or_else(|| ReplayError::Verify(format!("unmap of unmapped {va:#x}")))?;
-        self.unmap_pages(va, &region.pas);
+        self.unmap_regions(std::iter::once((&va, &region)), std::iter::empty());
         Ok(())
     }
 
-    /// Clears the PTEs of the pages from `va` on that `pas` back, frees
-    /// those frames and shoots down the TLB.
-    fn unmap_pages(&self, va: u64, pas: &[u64]) {
-        for (i, pa) in pas.iter().enumerate() {
-            self.iface
-                .unmap_page_raw(&self.machine, self.root_pa, va + (i * PAGE_SIZE) as u64);
-            let _ = self.machine.frames().lock().free(*pa);
+    /// Clears the PTEs of `regions` under one DRAM guard, frees their
+    /// frames and `tables` under one frame-allocator hold, and shoots down
+    /// the TLB once: without that, a stale translation could survive into
+    /// a mapping that later recycles a VA (or leak writes into whoever now
+    /// owns the freed frames).
+    fn unmap_regions<'a>(
+        &self,
+        regions: impl Iterator<Item = (&'a u64, &'a NanoRegion)> + Clone,
+        tables: impl Iterator<Item = u64>,
+    ) {
+        let mut g = self.machine.mem().write_guard();
+        for (&va, r) in regions.clone() {
+            let _ = self
+                .iface
+                .write_region(&mut g, self.root_pa, &self.tables, va, &r.pas, None);
         }
-        // Architectural TLB shootdown: without it a stale translation
-        // could survive into a mapping that later recycles this VA (or
-        // leak writes into whoever now owns the freed frames).
+        drop(g);
+        let mut frames = self.machine.frames().lock();
+        for pa in regions
+            .flat_map(|(_, r)| r.pas.iter().copied())
+            .chain(tables)
+        {
+            let _ = frames.free(pa);
+        }
+        drop(frames);
         self.iface.tlb_shootdown(&self.machine);
     }
 
-    /// Rewrites every PTE from the driver's bookkeeping — the §5.4
-    /// recovery step that re-populates page tables after corruption.
-    pub fn remap_all(&mut self) -> Result<(), ReplayError> {
-        let regions: Vec<(u64, Vec<u64>, Vec<u16>)> = self
-            .regions
-            .iter()
-            .map(|(va, r)| (*va, r.pas.clone(), r.flags.clone()))
-            .collect();
-        for (va, pas, flags) in regions {
-            for (i, (&pa, &bits)) in pas.iter().zip(flags.iter()).enumerate() {
-                self.iface
-                    .unmap_page_raw(&self.machine, self.root_pa, va + (i * PAGE_SIZE) as u64);
-                if let Some(f) = self.iface.map_page_raw(
-                    &self.machine,
-                    self.root_pa,
-                    va + (i * PAGE_SIZE) as u64,
-                    pa,
-                    bits,
-                )? {
-                    self.table_frames.push(f);
-                }
-            }
+    /// Rewrites the L1 entries and PTEs of every mapped region from the
+    /// driver's bookkeeping under one DRAM guard — the §5.4 recovery step that re-populates page
+    /// tables after corruption. Every table it points at already exists,
+    /// so it allocates nothing and cannot fail.
+    pub fn remap_all(&self) {
+        let mut g = self.machine.mem().write_guard();
+        for (&va, r) in &self.regions {
+            // The driver's frames lie in DRAM, so no write can fail.
+            let _ = self.iface.write_region(
+                &mut g,
+                self.root_pa,
+                &self.tables,
+                va,
+                &r.pas,
+                Some(&r.flags),
+            );
         }
-        Ok(())
     }
 
     /// Walks the GPU-virtual range `[va, va+len)` page by page, handing
@@ -216,7 +213,7 @@ impl NanoDriver {
                 .next_back()
                 .ok_or_else(unmapped)?;
             let off = (cur - base) as usize;
-            if off >= region.pages * PAGE_SIZE {
+            if off >= region.pas.len() * PAGE_SIZE {
                 return Err(unmapped());
             }
             let chunk = (PAGE_SIZE - off % PAGE_SIZE).min(len - done);
@@ -259,17 +256,16 @@ impl NanoDriver {
         })
     }
 
-    /// Snapshot of all mapped content (checkpointing).
+    /// Snapshot of all mapped content (checkpointing), read under one
+    /// DRAM guard.
     pub fn snapshot_memory(&self) -> Vec<(u64, Vec<u8>)> {
+        let g = self.machine.mem().read_guard();
         self.regions
             .iter()
             .map(|(va, r)| {
-                let mut bytes = vec![0u8; r.pages * PAGE_SIZE];
-                for (i, &pa) in r.pas.iter().enumerate() {
-                    let _ = self
-                        .machine
-                        .mem()
-                        .read(pa, &mut bytes[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
+                let mut bytes = vec![0u8; r.pas.len() * PAGE_SIZE];
+                for (page, &pa) in bytes.chunks_exact_mut(PAGE_SIZE).zip(&r.pas) {
+                    let _ = g.read(pa, page);
                 }
                 (*va, bytes)
             })
@@ -280,26 +276,42 @@ impl NanoDriver {
     pub fn mapped_bytes(&self) -> u64 {
         self.regions
             .values()
-            .map(|r| (r.pages * PAGE_SIZE) as u64)
+            .map(|r| (r.pas.len() * PAGE_SIZE) as u64)
             .sum()
     }
 
     /// Frees everything (Cleanup API).
-    pub fn release(mut self) {
-        let vas: Vec<u64> = self.regions.keys().copied().collect();
-        for va in vas {
-            let _ = self.unmap(va);
-        }
-        for f in self.table_frames.drain(..) {
-            let _ = self.machine.frames().lock().free(f);
-        }
+    pub fn release(self) {
+        let root = (0..self.iface.root_pages()).map(|i| self.root_pa + (i * PAGE_SIZE) as u64);
+        self.unmap_regions(
+            self.regions.iter(),
+            self.tables.values().copied().chain(root),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gr_gpu::sku::MALI_G71;
+    use gr_gpu::sku::{MALI_G71, V3D_RPI4};
+
+    /// The PA the device's own table walker finds for `va` in `nano`'s
+    /// page tables.
+    fn translate(nano: &NanoDriver, va: u64) -> Option<u64> {
+        let mem = nano.machine.mem();
+        match nano.iface {
+            NanoIface::Mali => gr_gpu::mali::pgtable::translate(
+                mem,
+                gr_gpu::PteFormat::MaliStandard,
+                nano.root_pa,
+                va,
+            )
+            .map(|(pa, _)| pa),
+            NanoIface::V3d => {
+                gr_gpu::v3d::pgtable::translate(mem, nano.root_pa, va).map(|(pa, _)| pa)
+            }
+        }
+    }
 
     #[test]
     fn map_write_read_unmap() {
@@ -327,12 +339,10 @@ mod tests {
     #[test]
     fn frames_are_zeroed_no_sensitive_data() {
         let machine = Machine::new(&MALI_G71, 2);
-        // Dirty some frames first.
-        let dirty = machine.frames().lock().alloc().unwrap();
-        machine.mem().fill(dirty, PAGE_SIZE, 0xEE).unwrap();
-        machine.frames().lock().free(dirty).unwrap();
+        // Dirty the first free frames, which the driver takes first.
+        let mem = machine.mem();
+        mem.fill(mem.base(), 64 * PAGE_SIZE, 0xEE).unwrap();
         let mut nano = NanoDriver::new(machine.clone(), NanoIface::Mali).unwrap();
-        // Map enough pages to certainly reuse the dirty frame.
         nano.map(0x20_0000, &[0xB; 16]).unwrap();
         let mut buf = vec![0u8; 16 * PAGE_SIZE];
         nano.read_va(0x20_0000, &mut buf).unwrap();
@@ -388,6 +398,114 @@ mod tests {
             nano.write_va(VA, &[1]).unwrap();
             nano.release();
             assert_eq!(machine.frames().lock().used(), before, "{}", sku.name);
+        }
+    }
+
+    /// A same-size re-map with other PTE flags is a conflict, not a no-op
+    /// that silently keeps the first mapping's flags.
+    #[test]
+    fn remap_with_other_flags_conflicts() {
+        const VA: u64 = 0x10_0000;
+        for sku in [&MALI_G71, &V3D_RPI4] {
+            let machine = Machine::with_dram(sku, 2, 8 << 20);
+            let iface = NanoIface::for_family(sku.family);
+            let mut nano = NanoDriver::new(machine, iface).unwrap();
+            nano.map(VA, &[0x3, 0x3]).unwrap();
+            nano.map(VA, &[0x3, 0x3]).unwrap();
+            let err = nano.map(VA, &[0x3, 0x1]).unwrap_err();
+            assert!(matches!(err, ReplayError::Verify(_)), "{}: {err}", sku.name);
+            nano.release();
+        }
+    }
+
+    // §5.1 on both SKUs: on dirty DRAM, every page of a fresh mapping
+    // (regions at random VAs and sizes, often across a Mali 2-MiB L1
+    // boundary) reads zero through the page tables before its first write,
+    // also when mapped again over recycled frames. `phys_pages` counts
+    // exactly the table frames and region pages, and `unmap` plus
+    // `release` hand every frame back.
+    proptest::proptest! {
+        #[test]
+        fn mapped_pages_read_zero_before_first_write(
+            regions in proptest::collection::vec((0u64..1024, 1usize..600), 1..4),
+        ) {
+            for sku in [&MALI_G71, &V3D_RPI4] {
+                let machine = Machine::with_dram(sku, 1, 8 << 20);
+                let mem = machine.mem();
+                mem.fill(mem.base(), mem.size(), 0xEE).unwrap();
+                let iface = NanoIface::for_family(sku.family);
+                let used0 = machine.frames().lock().used();
+                let mut nano = NanoDriver::new(machine.clone(), iface).unwrap();
+                let mut slots = BTreeSet::new();
+                let vas: Vec<(u64, usize)> = regions
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(off, pages))| (((k as u64 + 2) << 23) + off * PAGE_SIZE as u64, pages))
+                    .collect();
+                for round in 0..2 {
+                    let mut live = 0;
+                    for &(va, pages) in &vas {
+                        nano.map(va, &vec![0x3; pages]).unwrap();
+                        live += pages;
+                        for i in 0..pages {
+                            let page_va = va + (i * PAGE_SIZE) as u64;
+                            let pa = translate(&nano, page_va).expect("mapped page translates");
+                            let page = mem.read_vec(pa, PAGE_SIZE).unwrap();
+                            assert!(page == [0u8; PAGE_SIZE], "{}: {page_va:#x} not zero", sku.name);
+                            slots.extend(iface.table_slot(page_va));
+                        }
+                        nano.write_va(va, &vec![0xAB; pages * PAGE_SIZE]).unwrap();
+                        let phys = (iface.root_pages() + slots.len() + live) as u64;
+                        assert_eq!(nano.phys_pages(), phys, "{} round {round}", sku.name);
+                        assert_eq!(machine.frames().lock().used() - used0, phys as usize);
+                    }
+                    if round == 0 {
+                        for &(va, _) in &vas {
+                            nano.unmap(va).unwrap();
+                        }
+                        let tables = iface.root_pages() + slots.len();
+                        assert_eq!(machine.frames().lock().used() - used0, tables);
+                    }
+                }
+                nano.release();
+                assert_eq!(machine.frames().lock().used(), used0, "{}", sku.name);
+            }
+        }
+    }
+
+    /// §5.4 recovery re-populates corrupted tables from bookkeeping alone:
+    /// after a corrupted PTE (both SKUs) and a cleared L1 entry (Mali),
+    /// `remap_all` restores every translation without taking a frame.
+    #[test]
+    fn remap_all_restores_translations_without_allocating() {
+        use gr_gpu::mali::regs;
+        // Eight pages straddling a Mali 2-MiB L1 boundary.
+        const VA: u64 = 0x20_0000 - 4 * PAGE_SIZE as u64;
+        for sku in [&MALI_G71, &V3D_RPI4] {
+            let machine = Machine::with_dram(sku, 2, 8 << 20);
+            let iface = NanoIface::for_family(sku.family);
+            let mut nano = NanoDriver::new(machine.clone(), iface).unwrap();
+            nano.map(VA, &[0x3; 8]).unwrap();
+            nano.set_pgtable_base();
+            if iface == NanoIface::Mali {
+                machine.gpu_write32(regs::AS0_COMMAND, regs::AS_CMD_UPDATE);
+            }
+            let pages: Vec<u64> = (0..8).map(|i| VA + (i * PAGE_SIZE) as u64).collect();
+            let before: Vec<Option<u64>> = pages.iter().map(|&va| translate(&nano, va)).collect();
+            assert!(before.iter().all(Option::is_some), "{}", sku.name);
+            machine.inject_fault(gr_gpu::FaultKind::CorruptPte { va: pages[1] });
+            assert_eq!(translate(&nano, pages[1]), None, "{}", sku.name);
+            if let Some(slot) = iface.table_slot(pages[7]) {
+                machine.mem().write_u64(nano.root_pa + slot * 8, 0).unwrap();
+                assert_eq!(translate(&nano, pages[7]), None);
+            }
+            let (used, phys) = (machine.frames().lock().used(), nano.phys_pages());
+            nano.remap_all();
+            assert_eq!(machine.frames().lock().used(), used, "{}", sku.name);
+            assert_eq!(nano.phys_pages(), phys, "{}", sku.name);
+            let after: Vec<Option<u64>> = pages.iter().map(|&va| translate(&nano, va)).collect();
+            assert_eq!(after, before, "{}", sku.name);
+            nano.release();
         }
     }
 

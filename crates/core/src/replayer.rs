@@ -516,7 +516,7 @@ impl Replayer {
                         // performs). A terminal re-warm failure is
                         // batch-scoped.
                         self.iface.soft_reset(&machine)?;
-                        self.nano.remap_all()?;
+                        self.nano.remap_all();
                         let cold = costs::ACTION_DISPATCH;
                         self.run_recovering(id, io, 0, split, cold, &mut report.retries)?;
                     }
@@ -662,7 +662,7 @@ impl Replayer {
                     attempt += 1;
                     *retries += 1;
                     self.iface.soft_reset(&machine)?;
-                    self.nano.remap_all()?;
+                    self.nano.remap_all();
                 }
                 Err(e) if e.is_recoverable() => {
                     return Err(ReplayError::RecoveryFailed {
@@ -723,7 +723,7 @@ impl Replayer {
         let t0 = machine.now();
         // Restore: reset, re-point tables, restore registers and memory.
         self.iface.soft_reset(&machine)?;
-        self.nano.remap_all()?;
+        self.nano.remap_all();
         self.nano.set_pgtable_base();
         let mut regs: Vec<(u32, u32)> = cp.reg_state.iter().map(|(r, v)| (*r, *v)).collect();
         regs.sort_unstable();
