@@ -103,7 +103,8 @@ pub fn verify(
         )));
     }
     let mut mapped_pages: HashSet<u64> = HashSet::new();
-    let mut region_sizes: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    // Per base VA, the PTE flags it was first mapped with.
+    let mut regions: std::collections::HashMap<u64, &[u16]> = std::collections::HashMap::new();
     let mut peak = 0u64;
     let mut regs = HashSet::new();
     let mut irq_depth = 0i32;
@@ -111,7 +112,7 @@ pub fn verify(
 
     let check_mapped = |mapped: &HashSet<u64>, va: u64, len: u64, what: &str| {
         let mut page = va & !(PAGE_SIZE as u64 - 1);
-        let end = va + len.max(1);
+        let end = va.saturating_add(len.max(1));
         while page < end {
             if !mapped.contains(&page) {
                 return Err(ReplayError::Verify(format!(
@@ -137,24 +138,25 @@ pub fn verify(
                 if pte_flags.is_empty() {
                     return Err(ReplayError::Verify(format!("action {i}: empty mapping")));
                 }
-                if va % PAGE_SIZE as u64 != 0
-                    || *va + (pte_flags.len() * PAGE_SIZE) as u64 > va_limit
-                {
+                let len = (pte_flags.len() * PAGE_SIZE) as u64;
+                if va % PAGE_SIZE as u64 != 0 || *va > va_limit || len > va_limit - *va {
                     return Err(ReplayError::Verify(format!(
                         "action {i}: mapping outside GPU address space at {va:#x}"
                     )));
                 }
-                if let Some(&existing) = region_sizes.get(va) {
-                    if existing != pte_flags.len() {
-                        return Err(ReplayError::Verify(format!(
-                            "action {i}: conflicting re-map at {va:#x}"
-                        )));
-                    }
-                } else {
-                    region_sizes.insert(*va, pte_flags.len());
-                    for p in 0..pte_flags.len() {
-                        mapped_pages.insert(*va + (p * PAGE_SIZE) as u64);
-                    }
+                // A re-map must repeat its region exactly (the nano driver
+                // treats it as a no-op); a new region must not overlap one.
+                let old = regions.insert(*va, pte_flags);
+                if old.is_some_and(|old| old != pte_flags.as_slice()) {
+                    return Err(ReplayError::Verify(format!(
+                        "action {i}: conflicting re-map at {va:#x}"
+                    )));
+                }
+                let mut pages = (0..pte_flags.len() as u64).map(|p| *va + p * PAGE_SIZE as u64);
+                if old.is_none() && !pages.all(|page| mapped_pages.insert(page)) {
+                    return Err(ReplayError::Verify(format!(
+                        "action {i}: mapping at {va:#x} overlaps another region"
+                    )));
                 }
                 peak = peak.max(mapped_pages.len() as u64);
                 if peak > max_pages {
@@ -164,12 +166,12 @@ pub fn verify(
                 }
             }
             Action::UnmapGpuMem { va } => {
-                let Some(pages) = region_sizes.remove(va) else {
+                let Some(flags) = regions.remove(va) else {
                     return Err(ReplayError::Verify(format!(
                         "action {i}: unmap of unmapped {va:#x}"
                     )));
                 };
-                for p in 0..pages {
+                for p in 0..flags.len() {
                     mapped_pages.remove(&(*va + (p * PAGE_SIZE) as u64));
                 }
             }
@@ -482,5 +484,76 @@ mod tests {
             pte_flags: vec![0xB],
         }));
         assert!(verify(&rec, NanoIface::Mali, 1024).is_err());
+    }
+
+    #[test]
+    fn rejects_mapping_that_wraps_the_address_space() {
+        let top = !(PAGE_SIZE as u64 - 1);
+        let rec = maps("mali", &[(top, vec![0xB; 2])]);
+        let err = verify(&rec, NanoIface::Mali, 1024).unwrap_err();
+        assert!(
+            err.to_string().contains("outside GPU address space"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_uploads_that_wrap_the_address_space() {
+        let mut rec = maps("mali", &[(0, vec![0xB; 2])]);
+        rec.dumps.push(Dump {
+            va: !(PAGE_SIZE as u64 - 1),
+            bytes: vec![0; 2 * PAGE_SIZE],
+        });
+        rec.actions
+            .push(TimedAction::immediate(Action::Upload { dump_idx: 0 }));
+        let err = verify(&rec, NanoIface::Mali, 1024).unwrap_err();
+        assert!(err.to_string().contains("unmapped GPU memory"), "{err}");
+    }
+
+    fn maps(family: &str, maps: &[(u64, Vec<u16>)]) -> Recording {
+        let mut rec = Recording::new(RecordingMeta::new(family, "t", 1, "t"));
+        for (va, pte_flags) in maps {
+            rec.actions.push(TimedAction::immediate(Action::MapGpuMem {
+                va: *va,
+                pte_flags: pte_flags.clone(),
+            }));
+        }
+        rec
+    }
+
+    #[test]
+    fn a_remap_must_repeat_its_flags() {
+        for (family, iface) in [("mali", NanoIface::Mali), ("v3d", NanoIface::V3d)] {
+            let same = maps(family, &[(0x10_0000, vec![0xF]), (0x10_0000, vec![0xF])]);
+            assert_eq!(verify(&same, iface, 1024).unwrap().peak_pages, 1);
+            let other = maps(family, &[(0x10_0000, vec![0xF]), (0x10_0000, vec![0xB])]);
+            let err = verify(&other, iface, 1024).unwrap_err();
+            assert!(err.to_string().contains("conflicting re-map"), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_regions_overlapping_at_another_base() {
+        for (family, iface) in [("mali", NanoIface::Mali), ("v3d", NanoIface::V3d)] {
+            for order in [
+                [(0x10_1000, 1), (0x10_0000, 2)],
+                [(0x10_0000, 2), (0x10_1000, 1)],
+            ] {
+                let rec = maps(family, &order.map(|(va, n)| (va, vec![0xB; n])));
+                let err = verify(&rec, iface, 1024).unwrap_err();
+                assert!(err.to_string().contains("overlaps"), "{family}: {err}");
+            }
+            // Adjacent regions, and a region reusing an unmapped range, pass.
+            let mut rec = maps(family, &[(0x10_0000, vec![0xB]), (0x10_1000, vec![0xB; 2])]);
+            rec.actions
+                .push(TimedAction::immediate(Action::UnmapGpuMem {
+                    va: 0x10_1000,
+                }));
+            rec.actions.push(TimedAction::immediate(Action::MapGpuMem {
+                va: 0x10_2000,
+                pte_flags: vec![0xB],
+            }));
+            assert_eq!(verify(&rec, iface, 1024).unwrap().peak_pages, 3);
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! Family-specific GPU memory dump policies (§4.3, §6.1, §6.2).
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use gr_gpu::mali::pgtable::decode_flags;
 use gr_gpu::sku::{GpuFamilyKind, GpuSku, PteFormat};
 use gr_gpu::v3d::cl::{parse_list, ClPacket};
@@ -7,12 +9,13 @@ use gr_soc::PAGE_SIZE;
 use gr_stack::driver::RegionKind;
 use gr_stack::hooks::{DumpCtx, JobRoot};
 
-/// Returns the (page VA, page content) pairs the policy selects for the
-/// job about to be submitted.
-pub fn policy_pages(sku: &GpuSku, ctx: &DumpCtx<'_>) -> Vec<(u64, Vec<u8>)> {
+/// Returns the (page VA, frame PA) pairs the policy selects for the job
+/// about to be submitted. The recorder fingerprints those frames where
+/// they sit in DRAM and copies out only the pages that changed.
+pub fn policy_frames(sku: &GpuSku, ctx: &DumpCtx<'_>) -> Vec<(u64, u64)> {
     match sku.family {
-        GpuFamilyKind::Mali => mali_pages(sku.pte_format, ctx),
-        GpuFamilyKind::V3d => v3d_pages(ctx),
+        GpuFamilyKind::Mali => mali_frames(sku.pte_format, ctx),
+        GpuFamilyKind::V3d => v3d_frames(ctx),
     }
 }
 
@@ -20,19 +23,16 @@ pub fn policy_pages(sku: &GpuSku, ctx: &DumpCtx<'_>) -> Vec<(u64, Vec<u8>)> {
 /// executable-to-GPU pages are job chains → dump; pages that are
 /// non-executable **and** unmapped from CPU are GPU-internal buffers →
 /// exclude; remaining (CPU-mapped data) pages → dump.
-fn mali_pages(fmt: PteFormat, ctx: &DumpCtx<'_>) -> Vec<(u64, Vec<u8>)> {
+fn mali_frames(fmt: PteFormat, ctx: &DumpCtx<'_>) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
     for r in ctx.regions {
         // The recorder is built per SKU (§3.1) and knows the exact PTE
         // layout from the driver's interface knowledge.
-        for (i, &bits) in r.pte_flags.iter().enumerate() {
+        for (i, (&bits, &pa)) in r.pte_flags.iter().zip(&r.pas).enumerate() {
             let flags = decode_flags(fmt, u64::from(bits));
-            if !flags.exec && !flags.cpu_mapped {
-                continue; // GPU-internal: never touched by CPU.
-            }
-            let va = r.va + (i * PAGE_SIZE) as u64;
-            if let Some(bytes) = ctx.read_va(va, PAGE_SIZE) {
-                out.push((va, bytes));
+            // Neither: GPU-internal, never touched by CPU.
+            if flags.exec || flags.cpu_mapped {
+                out.push((r.va + (i * PAGE_SIZE) as u64, pa));
             }
         }
     }
@@ -42,38 +42,29 @@ fn mali_pages(fmt: PteFormat, ctx: &DumpCtx<'_>) -> Vec<(u64, Vec<u8>)> {
 /// v3d §6.2 policy: no exec bit, so (1) follow the control-list registers
 /// and chase BRANCH/RUN_SHADER pointers to find binary pages, and (2) use
 /// the allocation-flag hints to exclude scratch while conservatively
-/// including everything else.
-fn v3d_pages(ctx: &DumpCtx<'_>) -> Vec<(u64, Vec<u8>)> {
-    let mut page_set = std::collections::BTreeSet::new();
-
-    // (1) Pointer chase from the submitted control list.
+/// including everything else. Frames come in VA order.
+fn v3d_frames(ctx: &DumpCtx<'_>) -> Vec<(u64, u64)> {
+    // (1) Pointer chase from the submitted control list; chased pages
+    // outside every region are dropped.
+    let mut chased = BTreeSet::new();
     if let JobRoot::V3dList { cl_va, cl_len } = ctx.root {
-        chase_list(ctx, cl_va, cl_len, 0, &mut page_set);
+        chase_list(ctx, cl_va, cl_len, 0, &mut chased);
     }
+    let mut frames: BTreeMap<u64, u64> = chased
+        .into_iter()
+        .filter_map(|va| Some((va, ctx.pa_of(va)?)))
+        .collect();
 
     // (2) Alloc-flag hints: everything except Scratch, conservatively.
-    for r in ctx.regions {
-        if r.kind == RegionKind::Scratch {
-            continue;
-        }
-        for i in 0..r.pages {
-            page_set.insert(r.va + (i * PAGE_SIZE) as u64);
+    for r in ctx.regions.iter().filter(|r| r.kind != RegionKind::Scratch) {
+        for (i, &pa) in r.pas.iter().enumerate() {
+            frames.insert(r.va + (i * PAGE_SIZE) as u64, pa);
         }
     }
-
-    page_set
-        .into_iter()
-        .filter_map(|va| ctx.read_va(va, PAGE_SIZE).map(|b| (va, b)))
-        .collect()
+    frames.into_iter().collect()
 }
 
-fn chase_list(
-    ctx: &DumpCtx<'_>,
-    va: u64,
-    len: u32,
-    depth: usize,
-    pages: &mut std::collections::BTreeSet<u64>,
-) {
+fn chase_list(ctx: &DumpCtx<'_>, va: u64, len: u32, depth: usize, pages: &mut BTreeSet<u64>) {
     if depth > 8 {
         return;
     }
@@ -93,7 +84,7 @@ fn chase_list(
     }
 }
 
-fn mark_range(va: u64, len: u64, pages: &mut std::collections::BTreeSet<u64>) {
+fn mark_range(va: u64, len: u64, pages: &mut BTreeSet<u64>) {
     let first = va & !(PAGE_SIZE as u64 - 1);
     let last = (va + len.max(1) - 1) & !(PAGE_SIZE as u64 - 1);
     let mut p = first;
@@ -152,9 +143,11 @@ mod tests {
             regions: &regions,
             root: JobRoot::MaliChain { head_va: 0x10000 },
         };
-        let pages = mali_pages(PteFormat::MaliStandard, &ctx);
-        let vas: Vec<u64> = pages.iter().map(|(va, _)| *va).collect();
-        assert_eq!(vas, vec![0x10000, 0x20000], "internal pages excluded");
+        assert_eq!(
+            mali_frames(PteFormat::MaliStandard, &ctx),
+            vec![(0x10000, 0), (0x20000, PAGE_SIZE as u64)],
+            "internal pages excluded"
+        );
     }
 
     #[test]
@@ -177,11 +170,7 @@ mod tests {
             regions: &regions,
             root: JobRoot::MaliChain { head_va: 0x10000 },
         };
-        let vas: Vec<u64> = mali_pages(PteFormat::MaliLpae, &ctx)
-            .iter()
-            .map(|(va, _)| *va)
-            .collect();
-        assert_eq!(vas, vec![0x10000]);
+        assert_eq!(mali_frames(PteFormat::MaliLpae, &ctx), vec![(0x10000, 0)]);
     }
 
     #[test]
@@ -212,7 +201,13 @@ mod tests {
                 cl_len: main_bytes.len() as u32,
             },
         };
-        let vas: Vec<u64> = v3d_pages(&ctx).iter().map(|(va, _)| *va).collect();
+        let frames = v3d_frames(&ctx);
+        let vas: Vec<u64> = frames.iter().map(|(va, _)| *va).collect();
+        assert!(vas.windows(2).all(|w| w[0] < w[1]), "VA order");
+        assert!(
+            frames.contains(&(0x4_0000, 2 * PAGE_SIZE as u64)),
+            "chased page resolved through its region"
+        );
         assert!(vas.contains(&0x5000), "list page");
         assert!(vas.contains(&0x9000), "branched sub-list page");
         assert!(
@@ -249,6 +244,6 @@ mod tests {
                 cl_len: 0,
             },
         };
-        assert!(v3d_pages(&v3d_ctx).len() > mali_pages(PteFormat::MaliStandard, &mali_ctx).len());
+        assert!(v3d_frames(&v3d_ctx).len() > mali_frames(PteFormat::MaliStandard, &mali_ctx).len());
     }
 }

@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
+use gr_recording::checksum;
 use gr_sim::{SimClock, SimDuration, SimTime};
+use gr_soc::PAGE_SIZE;
 use gr_stack::driver::RegionKind;
 use gr_stack::hooks::{DumpCtx, RecorderSink, RegionSnapshot};
 use parking_lot::Mutex;
@@ -97,7 +99,6 @@ pub(crate) struct RecorderState {
     pub page_hashes: std::collections::HashMap<u64, u64>,
     /// Regions snapshot taken at the most recent dump point.
     pub last_regions: Vec<RegionSnapshot>,
-    pub enabled: bool,
 }
 
 /// The recorder: an implementation of the driver instrumentation seams
@@ -121,10 +122,7 @@ impl Recorder {
     pub fn new(clock: SimClock, sku: &'static gr_gpu::GpuSku) -> Arc<Recorder> {
         Arc::new(Recorder {
             clock,
-            state: Mutex::new(RecorderState {
-                enabled: true,
-                ..Default::default()
-            }),
+            state: Mutex::new(RecorderState::default()),
             sku,
         })
     }
@@ -156,11 +154,30 @@ impl Recorder {
     }
 
     fn push(&self, event: RawEvent) {
+        let at = self.clock.now();
+        self.state.lock().events.push(TimedRaw { at, event });
+    }
+
+    /// Fingerprints every policy frame where it sits in DRAM (one read
+    /// guard, no copies), stores the new fingerprints and hands each page
+    /// whose fingerprint changed to `changed`.
+    fn refresh(&self, ctx: &DumpCtx<'_>, mut changed: impl FnMut(u64, &[u8])) {
+        // The policy may read DRAM (v3d pointer chase): select before the
+        // guard is taken.
+        let frames = dump::policy_frames(self.sku, ctx);
         let mut st = self.state.lock();
-        if st.enabled {
-            let at = self.clock.now();
-            st.events.push(TimedRaw { at, event });
+        let mem = ctx.mem.read_guard();
+        for (va, pa) in frames {
+            let Ok(page) = mem.slice(pa, PAGE_SIZE) else {
+                continue;
+            };
+            let h = checksum(page);
+            if st.page_hashes.insert(va, h) != Some(h) {
+                changed(va, page);
+            }
         }
+        drop(mem);
+        st.last_regions = ctx.regions.to_vec();
     }
 }
 
@@ -204,6 +221,17 @@ impl RecorderSink for Recorder {
     }
 
     fn unmap(&self, va: u64) {
+        // The driver recycles freed VAs, and at replay a region mapped there
+        // again starts from zeroed frames: forget the old pages'
+        // fingerprints so the next dump holds the new region whole.
+        {
+            let mut st = self.state.lock();
+            if let Some(pages) = st.last_regions.iter().find(|r| r.va == va).map(|r| r.pages) {
+                for p in 0..pages as u64 {
+                    st.page_hashes.remove(&(va + p * PAGE_SIZE as u64));
+                }
+            }
+        }
         self.push(RawEvent::Unmap { va });
     }
 
@@ -216,31 +244,11 @@ impl RecorderSink for Recorder {
     fn copy_from_gpu(&self, _va: u64, _len: usize) {}
 
     fn pre_job_submit(&self, ctx: &DumpCtx<'_>) {
-        let policy_pages = dump::policy_pages(self.sku, ctx);
-        let mut st = self.state.lock();
-        if !st.enabled {
-            return;
-        }
-        let mut changed = Vec::new();
-        let mut mapped_pages = 0u64;
-        for r in ctx.regions {
-            mapped_pages += r.pages as u64;
-        }
-        for (page_va, bytes) in policy_pages {
-            let h = fnv1a(&bytes);
-            if st.page_hashes.get(&page_va) != Some(&h) {
-                st.page_hashes.insert(page_va, h);
-                changed.push((page_va, bytes));
-            }
-        }
-        st.last_regions = ctx.regions.to_vec();
-        let at = self.clock.now();
-        st.events.push(TimedRaw {
-            at,
-            event: RawEvent::JobDump {
-                pages: changed,
-                mapped_pages,
-            },
+        let mut pages = Vec::new();
+        self.refresh(ctx, |va, page| pages.push((va, page.to_vec())));
+        self.push(RawEvent::JobDump {
+            pages,
+            mapped_pages: ctx.regions.iter().map(|r| r.pages as u64).sum(),
         });
     }
 
@@ -248,16 +256,7 @@ impl RecorderSink for Recorder {
         // Refresh the page view: anything the GPU just wrote is inter-job
         // state and must never be re-dumped (it would overwrite live
         // buffers at replay, §4.3).
-        let policy_pages = dump::policy_pages(self.sku, ctx);
-        let mut st = self.state.lock();
-        if !st.enabled {
-            return;
-        }
-        for (page_va, bytes) in policy_pages {
-            let h = fnv1a(&bytes);
-            st.page_hashes.insert(page_va, h);
-        }
-        st.last_regions = ctx.regions.to_vec();
+        self.refresh(ctx, |_, _| {});
     }
 
     fn gpu_phase(&self, busy: bool) {
@@ -265,23 +264,242 @@ impl RecorderSink for Recorder {
     }
 }
 
-/// FNV-1a hash of a byte slice: the per-page content fingerprint that
-/// decides which pages changed since the previous job dump.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
-    #[allow(unused_imports)]
-    use gr_gpu::sku;
-    use gr_gpu::GpuFamilyKind;
+    use gr_gpu::mali::pgtable::{encode_flags, PteFlags};
+    use gr_gpu::{sku, GpuFamilyKind, GpuSku};
+    use gr_sim::SimRng;
+    use gr_soc::{PhysMem, SharedMem};
+    use gr_stack::hooks::JobRoot;
+
+    /// The pages of the most recent event, which must be a job dump.
+    fn last_dump(rec: &Recorder) -> Vec<(u64, Vec<u8>)> {
+        match &rec.events(rec.mark() - 1, rec.mark())[0].event {
+            RawEvent::JobDump { pages, .. } => pages.clone(),
+            other => panic!("expected a job dump, got {other:?}"),
+        }
+    }
+
+    fn flip_sign(mem: &SharedMem, pa: u64, f32_index: u64) {
+        let at = pa + 4 * f32_index + 3;
+        let b = mem.read_vec(at, 1).unwrap()[0];
+        mem.write(at, &[b ^ 0x80]).unwrap();
+    }
+
+    #[test]
+    fn sign_bit_pairs_are_redumped() {
+        // f32 #1 and #9 are bit 63 of two words 32 bytes apart: the same
+        // fingerprint lane, where a plain `(h ^ w) * P` step cancels the
+        // two flips and would never dump the page again.
+        let sku = &sku::MALI_G71;
+        let mem = SharedMem::new(PhysMem::new(0, 2 * PAGE_SIZE));
+        let counting: Vec<u8> = (0..PAGE_SIZE / 4)
+            .flat_map(|i| (i as f32).to_le_bytes())
+            .collect();
+        mem.write(PAGE_SIZE as u64, &counting).unwrap();
+        let data = encode_flags(sku.pte_format, PteFlags::rw_cpu()) as u16;
+        let regions = [RegionSnapshot {
+            va: 0x10_0000,
+            pages: 2,
+            kind: RegionKind::Data,
+            pte_flags: vec![data; 2],
+            pas: vec![PAGE_SIZE as u64, 0],
+        }];
+        let ctx = DumpCtx {
+            mem: &mem,
+            regions: &regions,
+            root: JobRoot::MaliChain { head_va: 0x10_0000 },
+        };
+        let rec = Recorder::new(SimClock::new(), sku);
+        rec.pre_job_submit(&ctx);
+        assert_eq!(last_dump(&rec).len(), 2, "first dump takes every page");
+        rec.post_job_complete(&ctx);
+        rec.pre_job_submit(&ctx);
+        assert!(last_dump(&rec).is_empty(), "unchanged pages stay out");
+
+        for pa in [PAGE_SIZE as u64, 0] {
+            flip_sign(&mem, pa, 1);
+            flip_sign(&mem, pa, 9);
+        }
+        rec.pre_job_submit(&ctx);
+        let want = vec![
+            (
+                0x10_0000,
+                mem.read_vec(PAGE_SIZE as u64, PAGE_SIZE).unwrap(),
+            ),
+            (0x10_1000, mem.read_vec(0, PAGE_SIZE).unwrap()),
+        ];
+        assert_eq!(last_dump(&rec), want);
+    }
+
+    #[test]
+    fn a_recycled_va_is_dumped_again() {
+        // Free a region, then map a new one at the same VA holding the same
+        // bytes: replay maps it on zeroed frames, so it must be dumped.
+        let sku = &sku::MALI_G71;
+        let mem = SharedMem::new(PhysMem::new(0, 2 * PAGE_SIZE));
+        for pa in [0, PAGE_SIZE as u64] {
+            mem.write(pa, &[7; 64]).unwrap();
+        }
+        let data = encode_flags(sku.pte_format, PteFlags::rw_cpu()) as u16;
+        let region = |pa| {
+            [RegionSnapshot {
+                va: 0x10_0000,
+                pages: 1,
+                kind: RegionKind::Data,
+                pte_flags: vec![data],
+                pas: vec![pa],
+            }]
+        };
+        let rec = Recorder::new(SimClock::new(), sku);
+        for (pa, unmapped) in [(0, false), (PAGE_SIZE as u64, true)] {
+            if unmapped {
+                rec.unmap(0x10_0000);
+                rec.map(0x10_0000, RegionKind::Data, &[data]);
+            }
+            let regions = region(pa);
+            rec.pre_job_submit(&DumpCtx {
+                mem: &mem,
+                regions: &regions,
+                root: JobRoot::MaliChain { head_va: 0x10_0000 },
+            });
+            let page = mem.read_vec(pa, PAGE_SIZE).unwrap();
+            assert_eq!(
+                last_dump(&rec),
+                vec![(0x10_0000, page)],
+                "after unmap: {unmapped}"
+            );
+        }
+    }
+
+    /// Random CPU- and "GPU"-side stores into random frames: byte writes,
+    /// same-value rewrites and same-lane sign-bit pairs.
+    fn scribble(mem: &SharedMem, frames: &[u64], rng: &mut SimRng) {
+        for _ in 0..rng.range_u64(0, 6) {
+            let pa = frames[rng.range_u64(0, frames.len() as u64) as usize];
+            let off = rng.range_u64(0, PAGE_SIZE as u64);
+            match rng.range_u64(0, 3) {
+                0 => mem.write(pa + off, &[rng.next_u32() as u8]).unwrap(),
+                1 => {
+                    let b = mem.read_vec(pa + off, 1).unwrap();
+                    mem.write(pa + off, &b).unwrap();
+                }
+                _ => {
+                    let f = off / 4 % (PAGE_SIZE as u64 / 4 - 8);
+                    flip_sign(mem, pa, f);
+                    flip_sign(mem, pa, f + 8);
+                }
+            }
+        }
+    }
+
+    /// Drives a recorder over random regions and checks every job dump
+    /// against a shadow of full page contents: a policy page is dumped
+    /// exactly when its bytes differ from what they were at the previous
+    /// hook (or it was never seen), with the bytes it holds now.
+    fn check_against_shadow(sku: &'static GpuSku, seed: u64) {
+        const FRAMES: u64 = 24;
+        let mut rng = SimRng::seed_from(seed);
+        let mem = SharedMem::new(PhysMem::new(0, FRAMES as usize * PAGE_SIZE));
+        let mut frames: Vec<u64> = (0..FRAMES).map(|f| f * PAGE_SIZE as u64).collect();
+        for i in (1..frames.len()).rev() {
+            frames.swap(i, rng.range_u64(0, i as u64 + 1) as usize);
+        }
+        let kinds = [
+            RegionKind::JobBinary,
+            RegionKind::Data,
+            RegionKind::Internal,
+            RegionKind::Scratch,
+        ];
+        let perms = [
+            PteFlags::exec_cpu(),
+            PteFlags::rw_cpu(),
+            PteFlags::internal(),
+        ];
+        let mut regions = Vec::new();
+        // The test's own statement of each policy: (page VA, frame).
+        let mut policy = Vec::new();
+        let mut free = frames.iter().copied();
+        for i in 0..rng.range_u64(1, 6) {
+            let va = 0x10_0000 * (i + 1) + rng.range_u64(0, 16) * PAGE_SIZE as u64;
+            let pages = rng.range_u64(1, 5) as usize;
+            let kind = kinds[rng.range_u64(0, 4) as usize];
+            let pas: Vec<u64> = free.by_ref().take(pages).collect();
+            let mut pte_flags = Vec::new();
+            for (p, &pa) in pas.iter().enumerate() {
+                let perm = rng.range_u64(0, 3) as usize;
+                pte_flags.push(encode_flags(sku.pte_format, perms[perm]) as u16);
+                let selected = match sku.family {
+                    GpuFamilyKind::Mali => perm != 2,
+                    GpuFamilyKind::V3d => kind != RegionKind::Scratch,
+                };
+                if selected {
+                    policy.push((va + (p * PAGE_SIZE) as u64, pa));
+                }
+            }
+            regions.push(RegionSnapshot {
+                va,
+                pages,
+                kind,
+                pte_flags,
+                pas,
+            });
+        }
+        if sku.family == GpuFamilyKind::V3d {
+            policy.sort_unstable();
+        }
+        let root = match sku.family {
+            GpuFamilyKind::Mali => JobRoot::MaliChain { head_va: 0 },
+            // An unmapped list: nothing to chase.
+            GpuFamilyKind::V3d => JobRoot::V3dList {
+                cl_va: 0,
+                cl_len: 0,
+            },
+        };
+        let ctx = DumpCtx {
+            mem: &mem,
+            regions: &regions,
+            root,
+        };
+        let rec = Recorder::new(SimClock::new(), sku);
+        let mut shadow: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut refresh_shadow = || {
+            let mut changed = Vec::new();
+            for &(va, pa) in &policy {
+                let now = mem.read_vec(pa, PAGE_SIZE).unwrap();
+                if shadow.get(&va) != Some(&now) {
+                    changed.push((va, now.clone()));
+                }
+                shadow.insert(va, now);
+            }
+            changed
+        };
+        for job in 0..rng.range_u64(1, 5) {
+            scribble(&mem, &frames, &mut rng);
+            rec.pre_job_submit(&ctx);
+            let want = refresh_shadow();
+            assert_eq!(last_dump(&rec), want, "{sku:?} seed {seed} job {job}");
+            scribble(&mem, &frames, &mut rng);
+            rec.post_job_complete(&ctx);
+            refresh_shadow();
+        }
+        let mapped: u64 = regions.iter().map(|r| r.pages as u64).sum();
+        assert!(matches!(
+            rec.events(rec.mark() - 1, rec.mark())[0].event,
+            RawEvent::JobDump { mapped_pages, .. } if mapped_pages == mapped
+        ));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_job_dumps_equal_a_full_content_shadow(seed in proptest::prelude::any::<u64>()) {
+            check_against_shadow(&sku::MALI_G71, seed);
+            check_against_shadow(&sku::V3D_RPI4, seed);
+        }
+    }
 
     #[test]
     fn records_in_order_with_marks() {
@@ -310,11 +528,5 @@ mod tests {
         rec.copy_from_gpu(0x1000, 64);
         assert_eq!(rec.mark(), 0);
         assert_eq!(rec.family(), GpuFamilyKind::V3d);
-    }
-
-    #[test]
-    fn fnv_distinguishes_content() {
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

@@ -52,7 +52,13 @@ pub fn grz_compress(data: &[u8]) -> Vec<u8> {
     // Hash chains over 3-byte prefixes for match finding.
     const HASH_SIZE: usize = 1 << 13;
     let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; data.len().max(1)];
+    // `prev[i % CHAIN]` links position `i` to the previous one with its
+    // hash. The walk stops at the first candidate beyond the window, and
+    // the entry of any candidate inside it is overwritten only `CHAIN` >
+    // `WINDOW` positions later, so a ring serves as well as a table with
+    // an entry per input byte.
+    const CHAIN: usize = 2 * WINDOW;
+    let mut prev = vec![usize::MAX; CHAIN];
     let hash = |d: &[u8], i: usize| -> usize {
         let h = (u32::from(d[i]) << 16) ^ (u32::from(d[i + 1]) << 8) ^ u32::from(d[i + 2]);
         (h.wrapping_mul(2654435761) as usize >> 19) & (HASH_SIZE - 1)
@@ -101,7 +107,7 @@ pub fn grz_compress(data: &[u8]) -> Vec<u8> {
                 } else {
                     break;
                 }
-                cand = prev[cand];
+                cand = prev[cand % CHAIN];
                 tries -= 1;
             }
         }
@@ -118,7 +124,7 @@ pub fn grz_compress(data: &[u8]) -> Vec<u8> {
             while i < end {
                 if i + MIN_MATCH <= data.len() {
                     let h = hash(data, i);
-                    prev[i] = head[h];
+                    prev[i % CHAIN] = head[h];
                     head[h] = i;
                 }
                 i += 1;
@@ -127,7 +133,7 @@ pub fn grz_compress(data: &[u8]) -> Vec<u8> {
             group.push(data[i]);
             if i + MIN_MATCH <= data.len() {
                 let h = hash(data, i);
-                prev[i] = head[h];
+                prev[i % CHAIN] = head[h];
                 head[h] = i;
             }
             i += 1;
@@ -420,6 +426,24 @@ mod tests {
         }
         data.extend(vec![7u8; 100]);
         roundtrip(&data);
+    }
+
+    #[test]
+    fn compressor_memory_does_not_grow_with_the_input() {
+        // Besides its output, the compressor holds the hash heads and a
+        // fixed chain ring: no table with an entry per input byte.
+        let data: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8 & 0x3F)
+            .collect();
+        gr_testalloc::reset();
+        let z = grz_compress(&data);
+        assert!(
+            gr_testalloc::largest() <= data.len() + 64,
+            "largest allocation {} compressing {} bytes",
+            gr_testalloc::largest(),
+            data.len()
+        );
+        assert_eq!(grz_decompress(&z).unwrap(), data);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (de)serialization paths; the replayer's verifier re-checks the
 //! checksum and every structural invariant on load.
 //!
-//! **Dumps (version 3).** A `u32` count, then one record per dump: `va`
+//! **Dumps (since version 3).** A `u32` count, then one record per dump: `va`
 //! (`u64`), `len` (`u32`), a coding byte and a length-prefixed body. Coding
 //! 0 stores the dump's bytes as they are; coding 1 is a GRZ stream. The
 //! writer uses GRZ only when the stream is strictly smaller than the dump,
@@ -16,23 +16,35 @@
 //! must equal `len` before anything is allocated for it. Each body decodes
 //! straight into its own dump's buffer.
 //!
-//! **Checksum.** Word-wise FNV-1a: the payload is read as
-//! little-endian `u64` words dealt round-robin to four independent lanes,
-//! each updated as `h = (h ^ word) * FNV_PRIME`; the lanes, the zero-padded
-//! tail bytes and the payload length are then folded into one state the
-//! same way. Both steps are bijections of the state (xor with a fixed word,
-//! multiplication by an odd constant mod 2^64), so any change confined to
-//! one aligned 8-byte word — in particular any single-bit or single-byte
-//! flip — always changes the checksum. It is an integrity check, not a MAC:
-//! an adversary who can rewrite the container can recompute it. Containers
-//! of an earlier version are rejected with [`ContainerError::BadVersion`].
+//! **Checksum (version 4).** [`checksum`] reads the payload as
+//! little-endian `u64` words dealt round-robin to eight independent lanes,
+//! each updated as `h = rotl((h ^ word) * K, 29)` with an odd 64-bit `K`;
+//! the lanes, the zero-padded tail bytes and the payload length are then
+//! folded into one state the same way. Every step is a bijection of the
+//! state (xor with a fixed word, multiplication by an odd constant mod
+//! 2^64, a rotation), so any change confined to one aligned 8-byte word —
+//! in particular any single-bit or single-byte flip — always changes the
+//! checksum. Changes to two words are caught with high probability but
+//! not always. Multiplication alone maps a flip of state bit 63 to a flip
+//! of bit 63 on every input, so version 3's `h = (h ^ word) * P` lanes
+//! cancelled any two bit-63 flips in one lane (the sign bits of two `f32`s
+//! 32 bytes apart). The rotation moves that bit to bit 28, where the next
+//! step's multiplication carries it upward. The one pair that still
+//! cancels on every input is bit 63 of a word together with bit 28 of the
+//! next word in its lane (64 bytes later); no sign bit of an `f32`, `f16`
+//! or byte sits at bit 28. Eight lanes keep enough multiplications in
+//! flight to win back most of the throughput the rotation costs. The same
+//! function fingerprints the recorder's dump pages. It is an integrity
+//! check, not a MAC: an adversary who can rewrite the container can
+//! recompute it. Containers of an earlier version are rejected with
+//! [`ContainerError::BadVersion`].
 
 use crate::action::{Action, TimedAction};
 use crate::codec::{grz_compress, grz_decompress, grz_len, GrzError};
 use crate::meta::{Dump, IoSlot, RecordingMeta};
 
 const MAGIC: &[u8; 4] = b"GREC";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 /// Dump body coding: the dump's bytes, stored as they are.
 const STORED: u8 = 0;
 /// Dump body coding: a GRZ stream.
@@ -99,22 +111,27 @@ impl From<GrzError> for ContainerError {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// Initial lane state (lane `i` starts at `SEED ^ i`).
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// Independent checksum lanes, one `u64` word each per round.
+const LANES: usize = 8;
+/// Odd multiplier of the lane step (2^64 / golden ratio).
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// One FNV-1a step over a whole word (a bijection of `h` for fixed `w`).
+/// One lane step over a whole word (a bijection of `h` for fixed `w`).
 fn mix(h: u64, w: u64) -> u64 {
-    (h ^ w).wrapping_mul(FNV_PRIME)
+    (h ^ w).wrapping_mul(K).rotate_left(29)
 }
 
 fn word(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("8-byte word"))
 }
 
-/// The payload checksum (see the module doc for its detection guarantee).
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = [0u64, 1, 2, 3].map(|i| FNV_OFFSET ^ i);
-    let mut chunks = bytes.chunks_exact(32);
+/// The payload checksum, also the recorder's per-page fingerprint (see
+/// the module doc for its detection guarantee).
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| SEED ^ i as u64);
+    let mut chunks = bytes.chunks_exact(8 * LANES);
     for c in &mut chunks {
         for (l, w) in lanes.iter_mut().zip(c.chunks_exact(8)) {
             *l = mix(*l, word(w));
@@ -129,7 +146,7 @@ fn checksum(bytes: &[u8]) -> u64 {
     lanes
         .into_iter()
         .chain([u64::from_le_bytes(tail), bytes.len() as u64])
-        .fold(FNV_OFFSET, mix)
+        .fold(SEED, mix)
 }
 
 #[derive(Default)]

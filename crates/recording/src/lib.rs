@@ -32,7 +32,7 @@ pub mod meta;
 
 pub use action::{Action, TimedAction};
 pub use codec::{grz_compress, grz_decompress};
-pub use container::{ContainerError, Recording};
+pub use container::{checksum, ContainerError, Recording};
 pub use meta::{Dump, IoSlot, RecordingMeta};
 
 // Lets tests prove that hostile lengths are refused before allocation.

@@ -63,6 +63,17 @@ pub struct DumpCtx<'a> {
 }
 
 impl DumpCtx<'_> {
+    /// Physical address backing GPU virtual address `va` according to the
+    /// region snapshots, or `None` if `va` is not mapped.
+    pub fn pa_of(&self, va: u64) -> Option<u64> {
+        let r = self
+            .regions
+            .iter()
+            .find(|r| va >= r.va && va < r.va + r.len_bytes() as u64)?;
+        let off = (va - r.va) as usize;
+        Some(r.pas[off / PAGE_SIZE] + (off % PAGE_SIZE) as u64)
+    }
+
     /// Reads `len` bytes at GPU virtual address `va` using the region
     /// snapshots (CPU-side access, like the paper's in-driver dumper).
     /// Returns `None` if the range is not fully mapped.
@@ -70,31 +81,12 @@ impl DumpCtx<'_> {
         let mut out = vec![0u8; len];
         let mut done = 0usize;
         while done < len {
-            let cur = va + done as u64;
-            let region = self
-                .regions
-                .iter()
-                .find(|r| cur >= r.va && cur < r.va + r.len_bytes() as u64)?;
-            let off = (cur - region.va) as usize;
-            let page = off / PAGE_SIZE;
-            let in_page = PAGE_SIZE - off % PAGE_SIZE;
-            let chunk = in_page.min(len - done);
-            let pa = region.pas[page] + (off % PAGE_SIZE) as u64;
+            let pa = self.pa_of(va + done as u64)?;
+            let chunk = (PAGE_SIZE - pa as usize % PAGE_SIZE).min(len - done);
             self.mem.read(pa, &mut out[done..done + chunk]).ok()?;
             done += chunk;
         }
         Some(out)
-    }
-
-    /// Reads a whole region's content.
-    pub fn read_region(&self, region: &RegionSnapshot) -> Vec<u8> {
-        let mut out = vec![0u8; region.len_bytes()];
-        for (i, &pa) in region.pas.iter().enumerate() {
-            self.mem
-                .read(pa, &mut out[i * PAGE_SIZE..(i + 1) * PAGE_SIZE])
-                .expect("region frames are in DRAM");
-        }
-        out
     }
 }
 
@@ -184,8 +176,10 @@ mod tests {
         assert_eq!(&cross[2..], b"head");
         // Unmapped VA yields None.
         assert!(ctx.read_va(0x50000, 4).is_none());
-        let full = ctx.read_region(&ctx.regions[0]);
-        assert_eq!(full.len(), 2 * PAGE_SIZE);
-        assert_eq!(&full[0..4], b"tail");
+        assert_eq!(
+            ctx.pa_of(0x10000 + PAGE_SIZE as u64 + 7),
+            Some(5 * PAGE_SIZE as u64 + 7)
+        );
+        assert_eq!(ctx.pa_of(0x10000 + 2 * PAGE_SIZE as u64), None);
     }
 }

@@ -1,6 +1,7 @@
 //! Tamper coverage for the container checksum on a real recording: every
 //! single-bit flip in the payload must be caught (the word-wise checksum
-//! guarantees it for any change confined to one 8-byte word), and earlier
+//! guarantees it for any change confined to one 8-byte word), so must the
+//! sign-bit pairs that a plain `(h ^ w) * P` lane step cancels, and earlier
 //! format versions must be refused outright.
 
 use gpureplay::prelude::*;
@@ -48,6 +49,37 @@ fn every_single_bit_flip_fails_the_checksum() {
 }
 
 #[test]
+fn sign_bit_pairs_fail_the_checksum() {
+    // Bit 7 of payload bytes 8k+7 and 8k+7+gap is bit 63 of two words
+    // `gap` bytes apart: the sign bits of two f32s. At 32 bytes they were
+    // consecutive words of one lane of the version-3 checksum, whose
+    // `(h ^ w) * P` step cancelled them on every input; at 64 bytes they
+    // are consecutive words of one lane today. Every such pair.
+    let bytes = mnist_container();
+    let payload = bytes.len() - HEADER;
+    let mut tampered = bytes.clone();
+    for gap in [32, 64] {
+        for k in 0..(payload - gap - 7).div_ceil(8) {
+            let pair = [HEADER + 8 * k + 7, HEADER + 8 * k + 7 + gap];
+            for at in pair {
+                tampered[at] ^= 0x80;
+            }
+            assert_eq!(
+                Recording::from_bytes(&tampered),
+                Err(ContainerError::ChecksumMismatch),
+                "payload bytes {} and {}",
+                8 * k + 7,
+                8 * k + 7 + gap
+            );
+            for at in pair {
+                tampered[at] ^= 0x80;
+            }
+        }
+    }
+    assert_eq!(tampered, bytes);
+}
+
+#[test]
 fn version_one_containers_are_refused() {
     let mut bytes = mnist_container();
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
@@ -64,5 +96,15 @@ fn version_two_containers_are_refused() {
     assert_eq!(
         Recording::from_bytes(&bytes),
         Err(ContainerError::BadVersion(2))
+    );
+}
+
+#[test]
+fn version_three_containers_are_refused() {
+    let mut bytes = mnist_container();
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(
+        Recording::from_bytes(&bytes),
+        Err(ContainerError::BadVersion(3))
     );
 }

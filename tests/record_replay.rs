@@ -336,3 +336,38 @@ fn hostile_recordings_are_rejected() {
     ));
     replayer.cleanup();
 }
+
+/// Map conflicts are a load-time verdict on both families: a same-size
+/// re-map with other flags and a region overlapping another at a
+/// different base are refused before any action runs.
+#[test]
+fn conflicting_maps_are_rejected_at_load() {
+    use gr_recording::{Action, RecordingMeta, TimedAction};
+    for (target_sku, family) in [(&sku::MALI_G71, "mali"), (&sku::V3D_RPI4, "v3d")] {
+        let env = Environment::new(EnvKind::UserLevel, Machine::new(target_sku, 16)).unwrap();
+        let mut replayer = Replayer::new(env);
+        let cases: [&[(u64, u16, usize)]; 2] = [
+            &[(0x10_0000, 0xF, 1), (0x10_0000, 0xB, 1)],
+            &[(0x10_1000, 0xB, 1), (0x10_0000, 0xB, 2)],
+        ];
+        for maps in cases {
+            let mut rec = Recording::new(RecordingMeta::new(
+                family,
+                target_sku.name,
+                target_sku.gpu_id,
+                "conflict",
+            ));
+            for &(va, flags, pages) in maps {
+                rec.actions.push(TimedAction::immediate(Action::MapGpuMem {
+                    va,
+                    pte_flags: vec![flags; pages],
+                }));
+            }
+            assert!(
+                matches!(replayer.load(rec), Err(gr_replayer::ReplayError::Verify(_))),
+                "{family}: {maps:x?}"
+            );
+        }
+        replayer.cleanup();
+    }
+}
