@@ -190,6 +190,7 @@ struct Residency {
 }
 
 struct Checkpoint {
+    id: usize,
     action_idx: usize,
     jobs: u32,
     memory: Vec<(u64, Vec<u8>)>,
@@ -708,18 +709,27 @@ impl Replayer {
             .collect();
     }
 
-    /// Resumes a preempted replay from the most recent checkpoint (or
-    /// fails if none was taken).
+    /// Resumes a preempted replay of recording `id` from the most recent
+    /// checkpoint, which must have been taken while replaying `id`.
     ///
     /// # Errors
     ///
-    /// Propagates replay errors; `Verify` if no checkpoint exists.
+    /// Propagates replay errors; `BadRecording` for an unknown id, `Io`
+    /// when `io` does not fit the recording's slots, `Verify` when no
+    /// checkpoint of `id` exists.
     pub fn resume(&mut self, id: usize, io: &mut ReplayIo) -> Result<ReplayReport, ReplayError> {
+        self.validate_io(id, io)?;
+        let slots = self.loaded[id].rec.outputs.iter().map(|s| s.len as usize);
+        if !io.outputs.iter().map(Vec::len).eq(slots) {
+            return Err(ReplayError::Io("outputs do not fit the recording".into()));
+        }
+        let Some(cp) = self.checkpoint.as_ref().filter(|cp| cp.id == id) else {
+            return Err(ReplayError::Verify(format!(
+                "no checkpoint of recording {id}"
+            )));
+        };
         self.residency = None;
         let machine = self.env.machine().clone();
-        let Some(cp) = self.checkpoint.take() else {
-            return Err(ReplayError::Verify("no checkpoint to resume from".into()));
-        };
         let t0 = machine.now();
         // Restore: reset, re-point tables, restore registers and memory.
         self.iface.soft_reset(&machine)?;
@@ -737,14 +747,12 @@ impl Replayer {
         for (va, bytes) in &cp.memory {
             self.nano.write_va(*va, bytes)?;
         }
-        let start = cp.action_idx;
-        let jobs0 = cp.jobs;
-        self.checkpoint = Some(cp);
+        let (start, jobs0) = (cp.action_idx, cp.jobs);
         let end = self.loaded[id].rec.actions.len();
         let (jobs, checkpoints, startup) =
             self.run_span(id, io, 1, start, end, jobs0, costs::ACTION_DISPATCH)?;
         Ok(ReplayReport {
-            actions: self.loaded[id].rec.actions.len() - start,
+            actions: end - start,
             retries: 0,
             wall: machine.now() - t0,
             jobs,
@@ -884,7 +892,7 @@ impl Replayer {
                             jobs += 1;
                             if let Some(every) = self.checkpoint_every_jobs {
                                 if jobs % every == 0 {
-                                    self.take_checkpoint(idx + 1, jobs);
+                                    self.take_checkpoint(id, idx + 1, jobs);
                                     checkpoints += 1;
                                 }
                             }
@@ -904,12 +912,13 @@ impl Replayer {
         Ok((jobs, checkpoints, startup))
     }
 
-    fn take_checkpoint(&mut self, action_idx: usize, jobs: u32) {
+    fn take_checkpoint(&mut self, id: usize, action_idx: usize, jobs: u32) {
         let machine = self.env.machine().clone();
         let memory = self.nano.snapshot_memory();
         let total: u64 = memory.iter().map(|(_, b)| b.len() as u64).sum();
         machine.advance(costs::xfer(total, costs::CHECKPOINT_BW));
         self.checkpoint = Some(Checkpoint {
+            id,
             action_idx,
             jobs,
             memory,

@@ -1,11 +1,15 @@
 //! Per-batch GPU access-set tracking for cross-batch warm residency.
 //!
-//! The replayer arms the log at the start of a warm batch's suffix; the
-//! device models then note every GPU-side memory access (control-list /
-//! job-chain parses, shader-blob fetches, kernel tensor loads and
-//! stores), and the replayer notes its own CPU-side suffix IO (input
-//! copies, suffix dump uploads, output readbacks). At batch end the
-//! replayer snapshots two interval sets over GPU VAs:
+//! The replayer arms the log at the start of a warm batch's suffix. The
+//! device core then notes every GPU-side memory access: each job-binary
+//! fetch (control-list and job-chain parses, shader blobs) in its job
+//! memory view, and each kernel tensor load and store in the
+//! [`TranslatingVaMem`](crate::device::TranslatingVaMem) the kernels run
+//! on. That accessor notes a read before it is attempted and a write
+//! only after it succeeded, so a faulting partial store never
+//! over-claims the written set. The replayer notes its own CPU-side
+//! suffix IO (input copies, suffix dump uploads, output readbacks). At
+//! batch end the replayer snapshots two interval sets over GPU VAs:
 //!
 //! * **first reads** — bytes the suffix read before any suffix write
 //!   reached them: their pre-suffix content is observable;
@@ -243,45 +247,6 @@ impl SharedAccessLog {
     /// See [`AccessLog::snapshot`].
     pub fn snapshot(&self) -> Option<AccessSnapshot> {
         self.inner.lock().snapshot()
-    }
-}
-
-/// [`VaMem`](crate::vm::exec::VaMem) adapter that notes every access into
-/// a [`SharedAccessLog`] before delegating. Writes are noted only on
-/// success, so a faulting partial store never over-claims coverage.
-pub struct LoggingVaMem<'a, M> {
-    /// The real accessor.
-    pub inner: &'a mut M,
-    /// Where accesses are noted.
-    pub log: &'a SharedAccessLog,
-}
-
-impl<M: crate::vm::exec::VaMem> crate::vm::exec::VaMem for LoggingVaMem<'_, M> {
-    fn read_bytes(&mut self, va: u64, len: usize) -> Result<Vec<u8>, u64> {
-        self.log.note_read(va, len as u64);
-        self.inner.read_bytes(va, len)
-    }
-
-    fn write_bytes(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
-        self.inner.write_bytes(va, data)?;
-        self.log.note_write(va, data.len() as u64);
-        Ok(())
-    }
-
-    fn read_f32s_into(&mut self, va: u64, n: usize, out: &mut Vec<f32>) -> Result<(), u64> {
-        self.log.note_read(va, (n * 4) as u64);
-        self.inner.read_f32s_into(va, n, out)
-    }
-
-    fn read_runs(&mut self, va: u64, len: usize, f: &mut dyn FnMut(&[u8])) -> Result<(), u64> {
-        self.log.note_read(va, len as u64);
-        self.inner.read_runs(va, len, f)
-    }
-
-    fn write_f32s(&mut self, va: u64, vals: &[f32]) -> Result<(), u64> {
-        self.inner.write_f32s(va, vals)?;
-        self.log.note_write(va, (vals.len() * 4) as u64);
-        Ok(())
     }
 }
 

@@ -1,23 +1,33 @@
-//! The device-model contract shared by both GPU families: the
-//! VA-translating memory accessor and the one job executor both device
-//! models run their jobs through.
+//! The device core both GPU families share, the VA-translating memory
+//! accessor and the one job executor both device models run their jobs
+//! through.
+//!
+//! Paper Table 1 lists what differs between GPU families: register
+//! offsets, page-table format and how jobs are submitted. Everything else
+//! lives once, in `DevCore`: the machine handles, the device timeline
+//! (reset, cache-flush and job-completion events), the [`SoftTlb`] and
+//! the GPU epoch it invalidates with, the job counter and the §7.2 fault
+//! state. `MaliGpu` and `V3dGpu` are register front-ends over one core
+//! each.
 //!
 //! A device parses its own job format (a Mali job chain, a v3d control
 //! list) into a list of shader blobs, then hands that list to
-//! `JobMem::execute`. The executor fetches, decodes and executes each
-//! blob in order, at completion time, through the device's [`SoftTlb`],
+//! `DevCore::execute`. The executor fetches, decodes and executes each
+//! blob in order, at completion time, through the core's [`SoftTlb`],
 //! access log and [`ExecScratch`]. It reports failures as a
 //! family-neutral `JobFault`, which each device maps to its own fault
 //! registers.
 
 use std::collections::HashMap;
 
-use gr_sim::SimTime;
-use gr_soc::{SharedMem, PAGE_SIZE};
+use gr_sim::{EventQueue, SimClock, SimDuration, SimRng, SimTime};
+use gr_soc::pmc::PmcDomain;
+use gr_soc::{IrqController, IrqLine, SharedMem, SharedPmc, PAGE_SIZE};
 
-use crate::access::{LoggingVaMem, SharedAccessLog};
+use crate::access::SharedAccessLog;
 use crate::faults::FaultKind;
 use crate::sku::GpuSku;
+use crate::timing::{self, JobCost};
 use crate::vm::bytecode::KernelOp;
 use crate::vm::exec::{execute_with, ExecError, ExecScratch, VaMem};
 
@@ -159,15 +169,20 @@ where
 }
 
 /// [`VaMem`] implementation that routes byte accesses through a page-wise
-/// translation function.
+/// translation function and notes each access in an access log.
 ///
 /// `translate(page_va) -> Option<(page_pa, writable)>`; `None` faults.
 ///
 /// The accessor translates the whole span first (served from the
 /// [`SoftTlb`] when one is attached), then performs the copy under a
 /// single [`SharedMem`] guard instead of re-locking per 4-KiB chunk.
+///
+/// Reads are noted in `log` before they are attempted; writes are noted
+/// only once they succeeded, so a faulting partial store never
+/// over-claims the written set (see [`crate::access`]).
 pub struct TranslatingVaMem<'a, F> {
     mem: &'a SharedMem,
+    log: &'a SharedAccessLog,
     translate: F,
     tlb: Option<&'a mut SoftTlb>,
     segs: Vec<Segment>,
@@ -179,9 +194,10 @@ where
 {
     /// Creates an accessor over `mem` using `translate` on every page
     /// (no TLB; transfers still lock-amortized).
-    pub fn new(mem: &'a SharedMem, translate: F) -> Self {
+    pub fn new(mem: &'a SharedMem, log: &'a SharedAccessLog, translate: F) -> Self {
         TranslatingVaMem {
             mem,
+            log,
             translate,
             tlb: None,
             segs: Vec::new(),
@@ -189,9 +205,15 @@ where
     }
 
     /// Creates an accessor whose page translations are cached in `tlb`.
-    pub fn with_tlb(mem: &'a SharedMem, translate: F, tlb: &'a mut SoftTlb) -> Self {
+    pub fn with_tlb(
+        mem: &'a SharedMem,
+        log: &'a SharedAccessLog,
+        translate: F,
+        tlb: &'a mut SoftTlb,
+    ) -> Self {
         TranslatingVaMem {
             mem,
+            log,
             translate,
             tlb: Some(tlb),
             segs: Vec::new(),
@@ -222,17 +244,6 @@ where
         }
         Ok(())
     }
-
-    /// Writes `data` at `va` without allocating.
-    fn write_from(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
-        self.plan(va, data.len(), true)?;
-        let mut g = self.mem.write_guard();
-        for s in &self.segs {
-            g.write(s.pa, &data[s.off..s.off + s.len])
-                .map_err(|_| va + s.off as u64)?;
-        }
-        Ok(())
-    }
 }
 
 impl<F> VaMem for TranslatingVaMem<'_, F>
@@ -240,6 +251,7 @@ where
     F: FnMut(u64) -> Option<(u64, bool)>,
 {
     fn read_bytes(&mut self, va: u64, len: usize) -> Result<Vec<u8>, u64> {
+        self.log.note_read(va, len as u64);
         // `len` comes from a kernel op: translate the whole range before
         // allocating for it, so an unmapped claim faults without a buffer.
         self.plan(va, len, false)?;
@@ -253,10 +265,18 @@ where
     }
 
     fn write_bytes(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
-        self.write_from(va, data)
+        self.plan(va, data.len(), true)?;
+        let mut g = self.mem.write_guard();
+        for s in &self.segs {
+            g.write(s.pa, &data[s.off..s.off + s.len])
+                .map_err(|_| va + s.off as u64)?;
+        }
+        self.log.note_write(va, data.len() as u64);
+        Ok(())
     }
 
     fn read_f32s_into(&mut self, va: u64, n: usize, out: &mut Vec<f32>) -> Result<(), u64> {
+        self.log.note_read(va, (n * 4) as u64);
         // Zero-copy: decode straight out of guarded DRAM into the caller's
         // f32 buffer — no byte staging pass at all. f32s that straddle a
         // page boundary are stitched through a 4-byte carry.
@@ -294,6 +314,7 @@ where
         // Same plan and fault VAs as `read_f32s_into`, and every segment
         // is bounds-checked before the first run goes out, so a fault
         // never follows a partial stream.
+        self.log.note_read(va, len as u64);
         self.plan(va, len, false)?;
         let g = self.mem.read_guard();
         if let Some(s) = self.segs.iter().find(|s| !g.contains(s.pa, s.len)) {
@@ -336,7 +357,12 @@ where
                 }
             }
         }
+        self.log.note_write(va, (vals.len() * 4) as u64);
         Ok(())
+    }
+
+    fn check_write(&mut self, va: u64, len: usize) -> Result<(), u64> {
+        self.plan(va, len, true)
     }
 }
 
@@ -389,11 +415,6 @@ pub(crate) struct JobMem<W> {
 }
 
 impl<W: PageWalk> JobMem<W> {
-    /// Wraps a device's DRAM handle, access log and active page walk.
-    pub(crate) fn new(mem: SharedMem, log: SharedAccessLog, walk: W) -> Self {
-        JobMem { mem, log, walk }
-    }
-
     /// Fetches `len` bytes of a job binary at `va`. Every page must be
     /// mapped executable: this is the hardware behaviour behind the
     /// paper's §6.1 dump heuristic. Fetches walk the page tables rather
@@ -426,39 +447,240 @@ impl<W: PageWalk> JobMem<W> {
         }
         Ok(out)
     }
+}
+
+/// Completion events on a device timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Event {
+    /// A soft reset settles.
+    Reset,
+    /// A cache flush finishes.
+    Flush,
+    /// The running job (a Mali chain, a v3d control list) completes.
+    Job,
+}
+
+/// The device state both GPU families share below their register
+/// front-ends: machine handles, the device timeline, the translation
+/// cache, the job counter and the §7.2 fault state.
+pub(crate) struct DevCore {
+    /// Static SKU description.
+    pub(crate) sku: &'static GpuSku,
+    /// The machine's virtual clock.
+    pub(crate) clock: SimClock,
+    /// DRAM, where the page tables and every job binary live.
+    pub(crate) mem: SharedMem,
+    irq: IrqController,
+    /// The access log every job fetch and kernel access is noted in.
+    pub(crate) access: SharedAccessLog,
+    pmc: SharedPmc,
+    rng: SimRng,
+    events: EventQueue<Event>,
+    tlb: SoftTlb,
+    scratch: ExecScratch,
+    jobs_completed: u64,
+    /// A soft reset is settling.
+    pub(crate) resetting: bool,
+    /// Cache flushes in flight.
+    pub(crate) flushing: u32,
+    /// Cores were offlined while idle: the next job to start fails.
+    /// Survives resets until a job consumes it.
+    pub(crate) glitch_armed: bool,
+    /// Cores were offlined under the running job: it fails at
+    /// completion. Cleared by reset.
+    pub(crate) offline_pending: bool,
+}
+
+impl DevCore {
+    /// A powered-off device core with a fresh, disarmed access log.
+    pub(crate) fn new(
+        sku: &'static GpuSku,
+        clock: SimClock,
+        mem: SharedMem,
+        irq: IrqController,
+        pmc: SharedPmc,
+        rng: SimRng,
+    ) -> Self {
+        DevCore {
+            sku,
+            clock,
+            mem,
+            irq,
+            access: SharedAccessLog::new(),
+            pmc,
+            rng,
+            events: EventQueue::new(),
+            tlb: SoftTlb::new(),
+            scratch: ExecScratch::new(),
+            jobs_completed: 0,
+            resetting: false,
+            flushing: 0,
+            glitch_armed: false,
+            offline_pending: false,
+        }
+    }
+
+    /// Raises or clears interrupt `line`.
+    pub(crate) fn set_irq(&self, line: IrqLine, raised: bool) {
+        if raised {
+            self.irq.raise(line);
+        } else {
+            self.irq.clear(line);
+        }
+    }
+
+    /// Both GPU power domains are on and settled.
+    pub(crate) fn power_stable(&self) -> bool {
+        self.pmc.is_stable(PmcDomain::GpuCore) && self.pmc.is_stable(PmcDomain::GpuMem)
+    }
+
+    /// The job-memory view through `walk`, the device's active address
+    /// space.
+    pub(crate) fn job_mem<W: PageWalk>(&self, walk: W) -> JobMem<W> {
+        JobMem {
+            mem: self.mem.clone(),
+            log: self.access.clone(),
+            walk,
+        }
+    }
+
+    /// Drops every cached translation and bumps the GPU epoch, so
+    /// warm-residency anchors taken under the old translations are stale
+    /// too. Called on reset, address-space switch, MMU reconfiguration
+    /// and TLB shootdown.
+    pub(crate) fn invalidate_translations(&mut self) {
+        self.tlb.flush();
+        self.mem.bump_gpu_epoch();
+    }
+
+    /// Starts a soft reset, or returns `false` while the power domains
+    /// are not stable. Drops every pending event and the pending offline
+    /// fault (an armed glitch survives), invalidates translations and
+    /// settles after [`timing::SOFT_RESET_DELAY`].
+    pub(crate) fn reset(&mut self) -> bool {
+        if !self.power_stable() {
+            return false;
+        }
+        self.events.clear();
+        self.resetting = true;
+        self.flushing = 0;
+        self.offline_pending = false;
+        self.invalidate_translations();
+        self.events
+            .schedule(self.clock.now() + timing::SOFT_RESET_DELAY, Event::Reset);
+        true
+    }
+
+    /// Starts a cache flush of jittered duration.
+    pub(crate) fn flush(&mut self) {
+        let d = timing::flush_delay(&mut self.rng);
+        self.flushing += 1;
+        self.events.schedule(self.clock.now() + d, Event::Flush);
+    }
+
+    /// Drops every pending event (a preempted job never completes).
+    pub(crate) fn drop_events(&mut self) {
+        self.events.clear();
+    }
+
+    /// Schedules completion of a job made of sub-jobs of `costs` on
+    /// `cores` shader cores at the current clock: modelled duration, then
+    /// jitter, then IRQ latency. Returns `false`, scheduling nothing,
+    /// when the job can never complete (no core or no clock).
+    pub(crate) fn schedule_job(
+        &mut self,
+        costs: impl Iterator<Item = JobCost>,
+        cores: u32,
+    ) -> bool {
+        let (cost, sub_jobs) = costs.fold((JobCost::default(), 0), |(t, n), c| (t + c, n + 1));
+        let mhz = self.pmc.clock_mhz(PmcDomain::GpuCore);
+        let d = timing::job_duration(cost, sub_jobs, cores, mhz, self.sku);
+        let d = timing::jittered(d, &mut self.rng) + timing::IRQ_LATENCY;
+        if d == SimDuration::MAX {
+            return false;
+        }
+        self.events.schedule(self.clock.now() + d, Event::Job);
+        true
+    }
+
+    /// Pops the next event due now, after settling a reset or retiring a
+    /// flush on the core's side.
+    pub(crate) fn pop_due(&mut self) -> Option<Event> {
+        let ev = self.events.pop_due(self.clock.now())?;
+        match ev {
+            Event::Reset => self.resetting = false,
+            Event::Flush => self.flushing = self.flushing.saturating_sub(1),
+            Event::Job => {}
+        }
+        Some(ev)
+    }
+
+    /// Instant of the next scheduled event, if any.
+    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
+        self.events.next_time()
+    }
+
+    /// A reset or cache flush is in flight.
+    pub(crate) fn busy(&self) -> bool {
+        self.resetting || self.flushing > 0
+    }
+
+    /// Successfully completed jobs.
+    pub(crate) fn jobs_completed(&self) -> u64 {
+        self.jobs_completed
+    }
 
     /// Fetches, decodes and executes each shader blob `(va, len)` in
-    /// order. Blob `i + 1` is fetched after blob `i` has run, so outputs
-    /// always come from the bytes in memory at completion, and a chain
-    /// that faults part-way leaves the earlier blobs' writes in place.
+    /// order through `jm`, counting the job as completed when all ran.
+    /// Blob `i + 1` is fetched after blob `i` has run, so outputs always
+    /// come from the bytes in memory at completion, and a chain that
+    /// faults part-way leaves the earlier blobs' writes in place.
     ///
     /// # Errors
     ///
     /// The first fetch, decode or execution failure.
-    pub(crate) fn execute(
-        &self,
+    pub(crate) fn execute<W: PageWalk>(
+        &mut self,
+        jm: &JobMem<W>,
         shaders: impl IntoIterator<Item = (u64, usize)>,
-        tlb: &mut SoftTlb,
-        scratch: &mut ExecScratch,
     ) -> Result<(), JobFault> {
         let translate = |page_va| {
-            self.walk
-                .walk(&self.mem, page_va)
+            jm.walk
+                .walk(&jm.mem, page_va)
                 .map(|page| (page.pa, page.write))
         };
-        let mut vamem = TranslatingVaMem::with_tlb(&self.mem, translate, tlb);
-        let mut vamem = LoggingVaMem {
-            inner: &mut vamem,
-            log: &self.log,
-        };
+        let mut vamem = TranslatingVaMem::with_tlb(&jm.mem, &jm.log, translate, &mut self.tlb);
         for (va, len) in shaders {
-            let op = KernelOp::decode(&self.fetch(va, len)?).map_err(|_| JobFault::Malformed)?;
-            execute_with(&op, &mut vamem, scratch).map_err(|e| match e {
+            let op = KernelOp::decode(&jm.fetch(va, len)?).map_err(|_| JobFault::Malformed)?;
+            execute_with(&op, &mut vamem, &mut self.scratch).map_err(|e| match e {
                 ExecError::MemFault { va } => JobFault::Translation { va },
                 ExecError::BadShader(_) | ExecError::BadParams(_) => JobFault::Malformed,
             })?;
         }
+        self.jobs_completed += 1;
         Ok(())
+    }
+
+    /// §7.2 core offlining. With a job in flight (`running` is
+    /// `Some(hit)`), the job fails at completion when the offlined cores
+    /// run it; with none, the next job to start fails instead.
+    pub(crate) fn offline_cores(&mut self, running: Option<bool>) {
+        match running {
+            Some(hit) => self.offline_pending |= hit,
+            None => self.glitch_armed = true,
+        }
+    }
+
+    /// §7.2 PTE corruption: clears the valid bit of the PTE at `pte_pa`,
+    /// then drops `va` from the TLB so the fault is observed even if the
+    /// translation was cached. Both PTE formats are little-endian with
+    /// the valid bit at bit 0, so the bit lives in the PTE's first byte.
+    pub(crate) fn corrupt_pte(&mut self, pte_pa: Option<u64>, va: u64) {
+        let mut b = [0u8];
+        if let Some(pa) = pte_pa.filter(|&pa| self.mem.read(pa, &mut b).is_ok()) {
+            let _ = self.mem.write(pa, &[b[0] & !1]);
+        }
+        self.tlb.invalidate_page(va);
     }
 }
 
@@ -470,8 +692,9 @@ mod tests {
     #[test]
     fn translating_accessor_crosses_pages() {
         let mem = SharedMem::new(PhysMem::new(0, 8 * PAGE_SIZE));
+        let log = SharedAccessLog::new();
         // Identity translation but remap page 1 -> phys page 4.
-        let mut vm = TranslatingVaMem::new(&mem, |page_va| {
+        let mut vm = TranslatingVaMem::new(&mem, &log, |page_va| {
             if page_va == PAGE_SIZE as u64 {
                 Some((4 * PAGE_SIZE as u64, true))
             } else {
@@ -492,16 +715,14 @@ mod tests {
     #[test]
     fn unmapped_page_faults_with_exact_va() {
         let mem = SharedMem::new(PhysMem::new(0, 4 * PAGE_SIZE));
-        let mut vm = TranslatingVaMem::new(
-            &mem,
-            |page_va| {
-                if page_va == 0 {
-                    Some((0, true))
-                } else {
-                    None
-                }
-            },
-        );
+        let log = SharedAccessLog::new();
+        let mut vm = TranslatingVaMem::new(&mem, &log, |page_va| {
+            if page_va == 0 {
+                Some((0, true))
+            } else {
+                None
+            }
+        });
         let err = vm.read_bytes(PAGE_SIZE as u64 - 2, 8).unwrap_err();
         assert_eq!(
             err, PAGE_SIZE as u64,
@@ -510,9 +731,34 @@ mod tests {
     }
 
     #[test]
+    fn accessor_notes_reads_before_and_writes_after_success() {
+        let pg = PAGE_SIZE as u64;
+        let mem = SharedMem::new(PhysMem::new(0, 4 * PAGE_SIZE));
+        let log = SharedAccessLog::new();
+        log.arm();
+        // Page 0 writable, page 1 read-only, every later page unmapped.
+        let mut vm = TranslatingVaMem::new(&mem, &log, |page_va| {
+            (page_va < 2 * pg).then_some((page_va, page_va == 0))
+        });
+        vm.write_f32s(0x10, &[1.0, 2.0]).unwrap();
+        assert_eq!(vm.write_bytes(pg - 4, &[0; 8]), Err(pg), "read-only page");
+        assert_eq!(vm.write_f32s(pg, &[0.0]), Err(pg));
+        vm.read_runs(0x10, 8, &mut |_| {}).unwrap();
+        vm.read_f32s_into(0x100, 2, &mut Vec::new()).unwrap();
+        assert_eq!(vm.read_bytes(2 * pg - 8, 16), Err(2 * pg), "unmapped page");
+        let snap = log.snapshot().unwrap();
+        assert_eq!(snap.written.intervals(), &[(0x10, 0x18)]);
+        assert_eq!(
+            snap.first_reads.intervals(),
+            &[(0x100, 0x108), (2 * pg - 8, 2 * pg + 8)]
+        );
+    }
+
+    #[test]
     fn readonly_page_rejects_writes() {
         let mem = SharedMem::new(PhysMem::new(0, 4 * PAGE_SIZE));
-        let mut vm = TranslatingVaMem::new(&mem, |page_va| Some((page_va, false)));
+        let log = SharedAccessLog::new();
+        let mut vm = TranslatingVaMem::new(&mem, &log, |page_va| Some((page_va, false)));
         assert_eq!(vm.write_bytes(16, &[1, 2, 3]), Err(16));
         assert!(vm.read_bytes(16, 3).is_ok(), "reads still allowed");
     }
@@ -520,11 +766,13 @@ mod tests {
     #[test]
     fn tlb_caches_translations_and_counts() {
         let mem = SharedMem::new(PhysMem::new(0, 8 * PAGE_SIZE));
+        let log = SharedAccessLog::new();
         let mut tlb = SoftTlb::new();
         let mut walks = 0usize;
         {
             let mut vm = TranslatingVaMem::with_tlb(
                 &mem,
+                &log,
                 |page_va| {
                     walks += 1;
                     Some((page_va, true))
@@ -545,14 +793,17 @@ mod tests {
     #[test]
     fn tlb_invalidation_forces_rewalk() {
         let mem = SharedMem::new(PhysMem::new(0, 8 * PAGE_SIZE));
+        let log = SharedAccessLog::new();
         let mut tlb = SoftTlb::new();
         // Remappable translation: page 0 goes wherever `target` points.
         let target = std::cell::Cell::new(PAGE_SIZE as u64);
         {
-            let mut vm =
-                TranslatingVaMem::with_tlb(&mem, |page_va| Some((target.get() + page_va, true)), {
-                    &mut tlb
-                });
+            let mut vm = TranslatingVaMem::with_tlb(
+                &mem,
+                &log,
+                |page_va| Some((target.get() + page_va, true)),
+                &mut tlb,
+            );
             vm.write_bytes(0, &[7]).unwrap();
         }
         assert_eq!(mem.read_vec(PAGE_SIZE as u64, 1).unwrap(), vec![7]);
@@ -561,6 +812,7 @@ mod tests {
         {
             let mut vm = TranslatingVaMem::with_tlb(
                 &mem,
+                &log,
                 |page_va| Some((target.get() + page_va, true)),
                 &mut tlb,
             );
@@ -572,6 +824,7 @@ mod tests {
         {
             let mut vm = TranslatingVaMem::with_tlb(
                 &mem,
+                &log,
                 |page_va| Some((target.get() + page_va, true)),
                 &mut tlb,
             );
@@ -585,7 +838,8 @@ mod tests {
     #[test]
     fn f32_helpers_round_trip_without_alloc_paths() {
         let mem = SharedMem::new(PhysMem::new(0, 8 * PAGE_SIZE));
-        let mut vm = TranslatingVaMem::new(&mem, |page_va| Some((page_va, true)));
+        let log = SharedAccessLog::new();
+        let mut vm = TranslatingVaMem::new(&mem, &log, |page_va| Some((page_va, true)));
         let vals = [1.5f32, -2.25, 1e-8, f32::MAX];
         // Straddle a page boundary on purpose.
         let va = PAGE_SIZE as u64 - 6;
@@ -618,7 +872,8 @@ mod tests {
     #[test]
     fn read_runs_over_fragmented_frames_match_read_f32s_into() {
         let mem = SharedMem::new(PhysMem::new(0, 16 * PAGE_SIZE));
-        let mut vm = TranslatingVaMem::new(&mem, fragmented);
+        let log = SharedAccessLog::new();
+        let mut vm = TranslatingVaMem::new(&mem, &log, fragmented);
         let pattern: Vec<u8> = (0..6 * PAGE_SIZE)
             .map(|i| (i * 7 + i / 251) as u8)
             .collect();
@@ -642,8 +897,9 @@ mod tests {
     #[test]
     fn read_runs_fault_at_the_read_f32s_into_va_before_any_run() {
         let mem = SharedMem::new(PhysMem::new(0, 8 * PAGE_SIZE));
+        let log = SharedAccessLog::new();
         // Page 2 unmapped mid-range.
-        let mut vm = TranslatingVaMem::new(&mem, |page_va| {
+        let mut vm = TranslatingVaMem::new(&mem, &log, |page_va| {
             (page_va != 2 * PAGE_SIZE as u64).then_some((page_va, true))
         });
         let (va, n) = (PAGE_SIZE as u64 + 8, PAGE_SIZE / 2);
@@ -654,7 +910,7 @@ mod tests {
         assert_eq!(calls, 0, "no run before the fault");
         // Page 2 mapped to a frame outside DRAM and not adjacent to page
         // 1's: it faults the same way, still before page 1's run goes out.
-        let mut vm = TranslatingVaMem::new(&mem, |page_va| {
+        let mut vm = TranslatingVaMem::new(&mem, &log, |page_va| {
             let outside = page_va == 2 * PAGE_SIZE as u64;
             Some((
                 if outside {

@@ -37,7 +37,7 @@ pub mod timing;
 pub mod v3d;
 pub mod vm;
 
-pub use access::{AccessLog, AccessSnapshot, IntervalSet, LoggingVaMem, SharedAccessLog};
+pub use access::{AccessLog, AccessSnapshot, IntervalSet, SharedAccessLog};
 pub use device::{GpuDev, SoftTlb, TranslatingVaMem};
 pub use faults::FaultKind;
 pub use machine::{Machine, WaitOutcome, DEFAULT_DRAM_SIZE, DRAM_BASE};

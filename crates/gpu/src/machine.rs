@@ -15,7 +15,7 @@ use gr_soc::{
 };
 use parking_lot::Mutex;
 
-use crate::device::GpuDev;
+use crate::device::{DevCore, GpuDev};
 use crate::faults::FaultKind;
 use crate::mali::device::MaliGpu;
 use crate::sku::{GpuFamilyKind, GpuSku};
@@ -73,27 +73,18 @@ impl Machine {
         let irq = IrqController::new();
         let pmc = SharedPmc::new(Pmc::new(clock.clone()));
         let mbox = Arc::new(Mutex::new(Mailbox::new(clock.clone(), pmc.clone())));
-        let rng = SimRng::seed_from(seed).fork("gpu-device");
-        let access = crate::access::SharedAccessLog::new();
+        let core = DevCore::new(
+            sku,
+            clock.clone(),
+            mem.clone(),
+            irq.clone(),
+            pmc.clone(),
+            SimRng::seed_from(seed).fork("gpu-device"),
+        );
+        let access = core.access.clone();
         let gpu: Box<dyn GpuDev> = match sku.family {
-            GpuFamilyKind::Mali => Box::new(MaliGpu::new(
-                sku,
-                clock.clone(),
-                mem.clone(),
-                irq.clone(),
-                pmc.clone(),
-                rng,
-                access.clone(),
-            )),
-            GpuFamilyKind::V3d => Box::new(V3dGpu::new(
-                sku,
-                clock.clone(),
-                mem.clone(),
-                irq.clone(),
-                pmc.clone(),
-                rng,
-                access.clone(),
-            )),
+            GpuFamilyKind::Mali => Box::new(MaliGpu::new(core)),
+            GpuFamilyKind::V3d => Box::new(V3dGpu::new(core)),
         };
         let frames = FrameAllocator::new(DRAM_BASE, dram_size / PAGE_SIZE);
         Machine {

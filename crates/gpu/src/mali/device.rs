@@ -5,37 +5,23 @@
 //! `AS0_TRANSTAB`/`AS0_COMMAND`, soft reset via `GPU_COMMAND`, three IRQ
 //! lines (job / MMU / GPU), and a double-buffered job slot (`*_NEXT`
 //! registers) giving the depth-2 queue the paper disables for record
-//! determinism.
+//! determinism. The timeline, translation cache and fault state live in
+//! the shared [`DevCore`](crate::device).
 
-use gr_sim::{EventQueue, SimClock, SimRng, SimTime};
-use gr_soc::{IrqController, SharedMem, SharedPmc};
+use gr_sim::SimTime;
+use gr_soc::SharedMem;
 
-use crate::device::{GpuDev, JobFault, JobMem, PageMapping, PageWalk, SoftTlb};
+use crate::device::{DevCore, Event, GpuDev, JobFault, JobMem, PageMapping, PageWalk};
 use crate::faults::FaultKind;
 use crate::mali::jobs::{JobHeader, JOB_HEADER_SIZE, MAX_CHAIN_LEN};
 use crate::mali::pgtable;
 use crate::mali::regs::{self as r, irq_lines};
 use crate::sku::{GpuSku, PteFormat};
-use crate::timing::{self, JobCost};
-use crate::vm::exec::ExecScratch;
-use gr_soc::pmc::PmcDomain;
+use crate::timing;
 
-/// Completion events on the device timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    Reset,
-    Flush,
-    Job,
-}
-
+/// A job chain in the slot: its head and the cores it may run on.
 #[derive(Debug, Clone, Copy)]
-struct RunningJob {
-    head_va: u64,
-    affinity: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct QueuedJob {
+struct SlotJob {
     head_va: u64,
     affinity: u32,
 }
@@ -79,14 +65,7 @@ fn parse_chain(jm: &JobMem<ActiveAs>, head_va: u64) -> Result<Vec<JobHeader>, Jo
 
 /// The Mali-like device. One job slot (double-buffered), one address space.
 pub struct MaliGpu {
-    sku: &'static GpuSku,
-    clock: SimClock,
-    mem: SharedMem,
-    irq: IrqController,
-    pmc: SharedPmc,
-    rng: SimRng,
-
-    access: crate::access::SharedAccessLog,
+    core: DevCore,
 
     gpu_rawstat: u32,
     gpu_mask: u32,
@@ -113,51 +92,27 @@ pub struct MaliGpu {
     js_status: u32,
     js_head_next: u64,
     js_affinity_next: u32,
-    queued: Option<QueuedJob>,
-
-    running: Option<RunningJob>,
-    events: EventQueue<Event>,
-    resetting: bool,
-    flushing: u32,
+    queued: Option<SlotJob>,
+    running: Option<SlotJob>,
 
     offline_mask: u32,
-    job_fault_pending: bool,
-    glitch_armed: bool,
-    jobs_completed: u64,
-
-    tlb: SoftTlb,
-    scratch: ExecScratch,
 }
 
 impl std::fmt::Debug for MaliGpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaliGpu")
-            .field("sku", &self.sku.name)
+            .field("sku", &self.core.sku.name)
             .field("busy", &self.running.is_some())
-            .field("jobs_completed", &self.jobs_completed)
+            .field("jobs_completed", &self.core.jobs_completed())
             .finish()
     }
 }
 
 impl MaliGpu {
-    /// Creates a powered-off device.
-    pub fn new(
-        sku: &'static GpuSku,
-        clock: SimClock,
-        mem: SharedMem,
-        irq: IrqController,
-        pmc: SharedPmc,
-        rng: SimRng,
-        access: crate::access::SharedAccessLog,
-    ) -> Self {
+    /// A powered-off device over `core`.
+    pub(crate) fn new(core: DevCore) -> Self {
         MaliGpu {
-            sku,
-            clock,
-            mem,
-            irq,
-            pmc,
-            rng,
-            access,
+            core,
             gpu_rawstat: 0,
             gpu_mask: 0,
             job_rawstat: 0,
@@ -181,24 +136,12 @@ impl MaliGpu {
             js_affinity_next: 0,
             queued: None,
             running: None,
-            events: EventQueue::new(),
-            resetting: false,
-            flushing: 0,
             offline_mask: 0,
-            job_fault_pending: false,
-            glitch_armed: false,
-            jobs_completed: 0,
-            tlb: SoftTlb::new(),
-            scratch: ExecScratch::new(),
         }
     }
 
     fn present_mask(&self) -> u32 {
-        (1u32 << self.sku.cores) - 1
-    }
-
-    fn power_stable(&self) -> bool {
-        self.pmc.is_stable(PmcDomain::GpuCore) && self.pmc.is_stable(PmcDomain::GpuMem)
+        (1u32 << self.core.sku.cores) - 1
     }
 
     fn update_irq_lines(&self) {
@@ -208,35 +151,17 @@ impl MaliGpu {
             (self.gpu_rawstat & self.gpu_mask, irq_lines::GPU),
         ];
         for (pending, line) in pairs {
-            if pending != 0 {
-                self.irq.raise(line);
-            } else {
-                self.irq.clear(line);
-            }
+            self.core.set_irq(line, pending != 0);
         }
     }
 
     /// The job-memory view under the active address space.
     fn job_mem(&self) -> JobMem<ActiveAs> {
-        JobMem::new(
-            self.mem.clone(),
-            self.access.clone(),
-            ActiveAs {
-                fmt: self.sku.pte_format,
-                root: self.transtab_active,
-                enabled: self.transcfg_active & r::TRANSCFG_ENABLE != 0,
-            },
-        )
-    }
-
-    fn chain_duration(&mut self, headers: &[JobHeader], affinity: u32) -> gr_sim::SimDuration {
-        let total = headers
-            .iter()
-            .fold(JobCost::default(), |acc, h| acc + h.cost);
-        let active = (affinity & self.present_mask() & !self.offline_mask).count_ones();
-        let mhz = self.pmc.clock_mhz(PmcDomain::GpuCore);
-        let d = timing::job_duration(total, headers.len() as u32, active, mhz, self.sku);
-        timing::jittered(d, &mut self.rng) + timing::IRQ_LATENCY
+        self.core.job_mem(ActiveAs {
+            fmt: self.core.sku.pte_format,
+            root: self.transtab_active,
+            enabled: self.transcfg_active & r::TRANSCFG_ENABLE != 0,
+        })
     }
 
     fn raise_job_fault(&mut self) {
@@ -263,75 +188,71 @@ impl MaliGpu {
         }
     }
 
-    fn start_job(&mut self, head_va: u64, affinity: u32) {
-        if !self.power_stable() {
+    fn start_job(&mut self, job: SlotJob) {
+        if !self.core.power_stable() {
             self.gpu_faultstatus = r::GPU_FAULT_POWER;
             return;
         }
-        if self.glitch_armed {
+        if std::mem::take(&mut self.core.glitch_armed) {
             // A transient core glitch (fault injection): the next started
             // job fails; the glitch then clears, so re-execution succeeds.
-            self.glitch_armed = false;
             self.raise_job_fault();
             return;
         }
-        if self.resetting || self.running.is_some() {
+        if self.core.resetting || self.running.is_some() {
             self.gpu_faultstatus = r::GPU_FAULT_BUSY;
             return;
         }
         // SKU-specific MMU configuration expectations (§6.4): G71 requires
         // read-allocate caching; G31/G52 reject it.
         let rd_alloc = self.transcfg_active & r::TRANSCFG_RD_ALLOC != 0;
-        if rd_alloc != self.sku.requires_rd_alloc {
+        if rd_alloc != self.core.sku.requires_rd_alloc {
             self.raise_mmu_fault(0, r::AS_FAULT_BAD_CONFIG);
             return;
         }
-        let headers = match parse_chain(&self.job_mem(), head_va) {
+        let headers = match parse_chain(&self.job_mem(), job.head_va) {
             Ok(h) => h,
             Err(fault) => {
                 self.raise(fault);
                 return;
             }
         };
-        let ready = self.shader_ready();
-        if affinity & ready == 0 {
+        if job.affinity & self.shader_ready() == 0 {
             // No powered core can run the job.
             self.raise_job_fault();
             return;
         }
-        let dur = self.chain_duration(&headers, affinity);
-        if dur == gr_sim::SimDuration::MAX {
+        let cores = (job.affinity & self.present_mask() & !self.offline_mask).count_ones();
+        if !self
+            .core
+            .schedule_job(headers.iter().map(|h| h.cost), cores)
+        {
             self.raise_job_fault();
             return;
         }
-        self.running = Some(RunningJob { head_va, affinity });
+        self.running = Some(job);
         self.js_status = r::JS_STATUS_ACTIVE;
-        let done_at = self.clock.now() + dur;
-        self.events.schedule(done_at, Event::Job);
     }
 
     /// Runs the chain at completion time: the chain and its shaders are
     /// read from memory as they are now, not as they were at submit.
-    fn execute_chain_now(&mut self, head_va: u64) -> Result<(), JobFault> {
-        let jm = self.job_mem();
-        let headers = parse_chain(&jm, head_va)?;
-        let shaders = headers.iter().map(|h| (h.shader_va, h.shader_len as usize));
-        jm.execute(shaders, &mut self.tlb, &mut self.scratch)
-    }
-
     fn complete_job(&mut self) {
         let Some(job) = self.running.take() else {
             return;
         };
-        if self.job_fault_pending || job.affinity & !self.offline_mask & self.present_mask() == 0 {
+        let offline = job.affinity & !self.offline_mask & self.present_mask() == 0;
+        if std::mem::take(&mut self.core.offline_pending) || offline {
             // Cores went away mid-flight (§7.2 fault injection).
-            self.job_fault_pending = false;
             self.raise_job_fault();
             return;
         }
-        match self.execute_chain_now(job.head_va) {
+        let jm = self.job_mem();
+        let result = parse_chain(&jm, job.head_va).and_then(|headers| {
+            let shaders = headers.iter().map(|h| (h.shader_va, h.shader_len as usize));
+            self.core.execute(&jm, shaders)
+        });
+        match result {
             Ok(()) => {
-                self.jobs_completed += 1;
                 self.job_rawstat |= r::JOB_IRQ_DONE0;
                 self.js_status = r::JS_STATUS_COMPLETED;
                 self.update_irq_lines();
@@ -340,7 +261,7 @@ impl MaliGpu {
                 if let Some(q) = self.queued.take() {
                     self.js_head = q.head_va;
                     self.js_affinity = q.affinity;
-                    self.start_job(q.head_va, q.affinity);
+                    self.start_job(q);
                 }
             }
             Err(fault) => self.raise(fault),
@@ -348,7 +269,7 @@ impl MaliGpu {
     }
 
     fn shader_ready(&self) -> u32 {
-        if self.clock.now() >= self.shader_ready_at {
+        if self.core.clock.now() >= self.shader_ready_at {
             self.shader_pwron & !self.offline_mask
         } else {
             0
@@ -356,10 +277,12 @@ impl MaliGpu {
     }
 
     fn soft_reset(&mut self) {
-        self.events.clear();
+        if !self.core.reset() {
+            self.gpu_faultstatus = r::GPU_FAULT_POWER;
+            return;
+        }
         self.running = None;
         self.queued = None;
-        self.job_fault_pending = false;
         self.offline_mask = 0;
         self.gpu_rawstat = 0;
         self.job_rawstat = 0;
@@ -375,15 +298,7 @@ impl MaliGpu {
         self.transtab_staged = 0;
         self.transcfg_staged = 0;
         self.shader_pwron = 0;
-        self.flushing = 0;
-        self.tlb.flush();
-        // Reset invalidates every outstanding warm-residency anchor, the
-        // same way it invalidates cached translations.
-        self.mem.bump_gpu_epoch();
-        self.resetting = true;
         self.update_irq_lines();
-        self.events
-            .schedule(self.clock.now() + timing::SOFT_RESET_DELAY, Event::Reset);
     }
 }
 
@@ -391,17 +306,8 @@ impl GpuDev for MaliGpu {
     fn read32(&mut self, off: u32) -> u32 {
         self.tick();
         match off {
-            r::GPU_ID => self.sku.gpu_id,
-            r::GPU_STATUS => {
-                let mut v = 0;
-                if self.running.is_some() {
-                    v |= 1;
-                }
-                if self.resetting || self.flushing > 0 {
-                    v |= 2;
-                }
-                v
-            }
+            r::GPU_ID => self.core.sku.gpu_id,
+            r::GPU_STATUS => u32::from(self.running.is_some()) | (u32::from(self.core.busy()) << 1),
             r::GPU_IRQ_RAWSTAT => self.gpu_rawstat,
             r::GPU_IRQ_MASK => self.gpu_mask,
             r::GPU_IRQ_STATUS => self.gpu_rawstat & self.gpu_mask,
@@ -445,23 +351,13 @@ impl GpuDev for MaliGpu {
                 self.update_irq_lines();
             }
             r::GPU_COMMAND => match val {
-                r::GPU_CMD_SOFT_RESET | r::GPU_CMD_HARD_RESET => {
-                    if self.power_stable() {
-                        self.soft_reset();
-                    } else {
-                        self.gpu_faultstatus = r::GPU_FAULT_POWER;
-                    }
-                }
-                r::GPU_CMD_CLEAN_CACHES | r::GPU_CMD_CLEAN_INV_CACHES => {
-                    let d = timing::flush_delay(&mut self.rng);
-                    self.flushing += 1;
-                    self.events.schedule(self.clock.now() + d, Event::Flush);
-                }
+                r::GPU_CMD_SOFT_RESET | r::GPU_CMD_HARD_RESET => self.soft_reset(),
+                r::GPU_CMD_CLEAN_CACHES | r::GPU_CMD_CLEAN_INV_CACHES => self.core.flush(),
                 _ => {}
             },
             r::SHADER_PWRON => {
                 self.shader_pwron |= val & self.present_mask();
-                self.shader_ready_at = self.clock.now() + timing::CORE_POWERUP_DELAY;
+                self.shader_ready_at = self.core.clock.now() + timing::CORE_POWERUP_DELAY;
             }
             r::SHADER_PWROFF => {
                 self.shader_pwron &= !val;
@@ -483,20 +379,14 @@ impl GpuDev for MaliGpu {
             }
             r::AS0_TRANSCFG => self.transcfg_staged = val,
             r::AS0_COMMAND if val == r::AS_CMD_UPDATE => {
+                // Address-space switch.
                 self.transtab_active = self.transtab_staged;
                 self.transcfg_active = self.transcfg_staged;
-                // Address-space switch: cached translations are stale, and
-                // so is any warm-residency anchor taken under the old space.
-                self.tlb.flush();
-                self.mem.bump_gpu_epoch();
+                self.core.invalidate_translations();
             }
             // AS_CMD_FLUSH: TLB shootdown, instantaneous in the model.
-            // Issued on unmap, where the freed frames may be recycled —
-            // outstanding residency anchors are no longer trustworthy.
-            r::AS0_COMMAND if val == r::AS_CMD_FLUSH => {
-                self.tlb.flush();
-                self.mem.bump_gpu_epoch();
-            }
+            // Issued on unmap, where the freed frames may be recycled.
+            r::AS0_COMMAND if val == r::AS_CMD_FLUSH => self.core.invalidate_translations(),
             r::JOB_IRQ_CLEAR => {
                 self.job_rawstat &= !val;
                 self.update_irq_lines();
@@ -510,10 +400,13 @@ impl GpuDev for MaliGpu {
             r::JS0_AFFINITY => self.js_affinity = val,
             r::JS0_CONFIG => self.js_config = val,
             r::JS0_COMMAND => match val {
-                r::JS_CMD_START => self.start_job(self.js_head, self.js_affinity),
+                r::JS_CMD_START => self.start_job(SlotJob {
+                    head_va: self.js_head,
+                    affinity: self.js_affinity,
+                }),
                 r::JS_CMD_SOFT_STOP | r::JS_CMD_HARD_STOP => {
                     // Preemption: abandon the running job without completion.
-                    self.events.clear();
+                    self.core.drop_events();
                     self.running = None;
                     self.queued = None;
                     self.js_status = r::JS_STATUS_IDLE;
@@ -528,15 +421,16 @@ impl GpuDev for MaliGpu {
             }
             r::JS0_AFFINITY_NEXT => self.js_affinity_next = val,
             r::JS0_COMMAND_NEXT if val == r::JS_CMD_START => {
+                let next = SlotJob {
+                    head_va: self.js_head_next,
+                    affinity: self.js_affinity_next,
+                };
                 if self.running.is_none() {
-                    self.js_head = self.js_head_next;
-                    self.js_affinity = self.js_affinity_next;
-                    self.start_job(self.js_head_next, self.js_affinity_next);
+                    self.js_head = next.head_va;
+                    self.js_affinity = next.affinity;
+                    self.start_job(next);
                 } else if self.queued.is_none() {
-                    self.queued = Some(QueuedJob {
-                        head_va: self.js_head_next,
-                        affinity: self.js_affinity_next,
-                    });
+                    self.queued = Some(next);
                 } else {
                     self.gpu_faultstatus = r::GPU_FAULT_BUSY;
                 }
@@ -546,16 +440,13 @@ impl GpuDev for MaliGpu {
     }
 
     fn tick(&mut self) {
-        let now = self.clock.now();
-        while let Some(ev) = self.events.pop_due(now) {
+        while let Some(ev) = self.core.pop_due() {
             match ev {
                 Event::Reset => {
-                    self.resetting = false;
                     self.gpu_rawstat |= r::GPU_IRQ_RESET_COMPLETED;
                     self.update_irq_lines();
                 }
                 Event::Flush => {
-                    self.flushing = self.flushing.saturating_sub(1);
                     self.gpu_rawstat |= r::GPU_IRQ_CLEAN_CACHES_COMPLETED;
                     self.update_irq_lines();
                 }
@@ -565,46 +456,35 @@ impl GpuDev for MaliGpu {
     }
 
     fn next_event_time(&self) -> Option<SimTime> {
-        self.events.next_time()
+        self.core.next_event_time()
     }
 
     fn sku(&self) -> &'static GpuSku {
-        self.sku
+        self.core.sku
     }
 
     fn inject_fault(&mut self, fault: FaultKind) {
         match fault {
             FaultKind::OfflineCores { mask } => {
-                if let Some(run) = self.running {
+                if self.running.is_some() {
                     self.offline_mask |= mask;
-                    if run.affinity & mask != 0 {
-                        self.job_fault_pending = true;
-                    }
-                } else {
-                    // Armed glitch: survives resets until a job consumes it.
-                    self.glitch_armed = true;
                 }
+                self.core
+                    .offline_cores(self.running.map(|job| job.affinity & mask != 0));
             }
             FaultKind::CorruptPte { va } => {
-                if let Some(pte_pa) = pgtable::pte_address(&self.mem, self.transtab_active, va) {
-                    if let Ok(pte) = self.mem.read_u64(pte_pa) {
-                        // Clear the valid bit: deterministic, detectable.
-                        let _ = self.mem.write_u64(pte_pa, pte & !1);
-                    }
-                }
-                // The corruption must be observed even if the translation
-                // was already cached.
-                self.tlb.invalidate_page(va);
+                let pte_pa = pgtable::pte_address(&self.core.mem, self.transtab_active, va);
+                self.core.corrupt_pte(pte_pa, va);
             }
         }
     }
 
     fn busy(&self) -> bool {
-        self.running.is_some() || self.resetting || self.flushing > 0
+        self.running.is_some() || self.core.busy()
     }
 
     fn jobs_completed(&self) -> u64 {
-        self.jobs_completed
+        self.core.jobs_completed()
     }
 }
 
@@ -613,10 +493,11 @@ mod tests {
     use super::*;
     use crate::mali::pgtable::{alloc_root, map_page, PteFlags};
     use crate::sku::{MALI_G31, MALI_G71};
+    use crate::timing::JobCost;
     use crate::vm::bytecode::{ActKind, KernelOp};
-    use gr_sim::SimDuration;
-    use gr_soc::pmc::{Pmc, SETTLE_DELAY};
-    use gr_soc::{FrameAllocator, PhysMem, PAGE_SIZE};
+    use gr_sim::{SimClock, SimDuration, SimRng};
+    use gr_soc::pmc::{Pmc, PmcDomain, SETTLE_DELAY};
+    use gr_soc::{FrameAllocator, IrqController, PhysMem, SharedPmc, PAGE_SIZE};
 
     struct Rig {
         clock: SimClock,
@@ -637,16 +518,16 @@ mod tests {
         pmc.write32(Pmc::pwr_ctrl_off(PmcDomain::GpuCore), 1);
         pmc.write32(Pmc::pwr_ctrl_off(PmcDomain::GpuMem), 1);
         clock.advance(SETTLE_DELAY);
-        let access = crate::access::SharedAccessLog::new();
-        let gpu = MaliGpu::new(
+        let core = DevCore::new(
             sku,
             clock.clone(),
             mem.clone(),
             irq.clone(),
             pmc,
             SimRng::seed_from(7),
-            access.clone(),
         );
+        let access = core.access.clone();
+        let gpu = MaliGpu::new(core);
         let mut alloc = FrameAllocator::new(0x8000_0000, 512);
         let root = alloc_root(&mem, &mut alloc).unwrap();
         Rig {
@@ -839,15 +720,14 @@ mod tests {
         let clock = SimClock::new();
         let mem = SharedMem::new(PhysMem::new(0x8000_0000, 64 * PAGE_SIZE));
         let pmc = SharedPmc::new(Pmc::new(clock.clone())); // never powered
-        let mut gpu = MaliGpu::new(
+        let mut gpu = MaliGpu::new(DevCore::new(
             &MALI_G71,
             clock,
             mem,
             IrqController::new(),
             pmc,
             SimRng::seed_from(1),
-            crate::access::SharedAccessLog::new(),
-        );
+        ));
         gpu.write32(r::JS0_COMMAND, r::JS_CMD_START);
         assert_eq!(gpu.read32(r::GPU_FAULTSTATUS), r::GPU_FAULT_POWER);
         gpu.write32(r::GPU_COMMAND, r::GPU_CMD_SOFT_RESET);

@@ -4,27 +4,19 @@
 //! kicks execution. One interrupt line; depth-1 queue (submitting while
 //! busy is an error — the paper notes v3d allows max one outstanding job).
 //! No exec bit in the page table; binaries fetch from any valid mapping.
+//! The timeline, translation cache and fault state live in the shared
+//! [`DevCore`](crate::device).
 
-use gr_sim::{EventQueue, SimClock, SimDuration, SimRng, SimTime};
-use gr_soc::pmc::PmcDomain;
-use gr_soc::{IrqController, SharedMem, SharedPmc};
+use gr_sim::SimTime;
+use gr_soc::SharedMem;
 
-use crate::device::{GpuDev, JobFault, JobMem, PageMapping, PageWalk, SoftTlb};
+use crate::device::{DevCore, Event, GpuDev, JobFault, JobMem, PageMapping, PageWalk};
 use crate::faults::FaultKind;
 use crate::sku::GpuSku;
-use crate::timing::{self, JobCost};
+use crate::timing::JobCost;
 use crate::v3d::cl::{self, ClPacket, MAX_BRANCH_DEPTH};
 use crate::v3d::pgtable;
 use crate::v3d::regs::{self as r, irq_lines};
-use crate::vm::exec::ExecScratch;
-
-/// Completion events on the device timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    Reset,
-    Flush,
-    List,
-}
 
 /// The flat page table at `MMU_PT_BASE`, or nothing while `MMU_CTRL`
 /// disables the MMU. v3d has no exec bit: any valid mapping fetches.
@@ -72,12 +64,7 @@ fn collect_shaders(
 
 /// The v3d-like device.
 pub struct V3dGpu {
-    sku: &'static GpuSku,
-    clock: SimClock,
-    mem: SharedMem,
-    irq: IrqController,
-    pmc: SharedPmc,
-    rng: SimRng,
+    core: DevCore,
 
     int_sts: u32,
     int_msk: u32,
@@ -89,49 +76,23 @@ pub struct V3dGpu {
     mmu_addr: u32,
 
     running: bool,
-    access: crate::access::SharedAccessLog,
-
-    resetting: bool,
-    flushing: bool,
-    flush_done_at: SimTime,
-
-    events: EventQueue<Event>,
-    offline_fault_pending: bool,
-    glitch_armed: bool,
-    jobs_completed: u64,
-
-    tlb: SoftTlb,
-    scratch: ExecScratch,
 }
 
 impl std::fmt::Debug for V3dGpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("V3dGpu")
-            .field("sku", &self.sku.name)
+            .field("sku", &self.core.sku.name)
             .field("busy", &self.running)
-            .field("jobs_completed", &self.jobs_completed)
+            .field("jobs_completed", &self.core.jobs_completed())
             .finish()
     }
 }
 
 impl V3dGpu {
-    /// Creates a powered-off device.
-    pub fn new(
-        sku: &'static GpuSku,
-        clock: SimClock,
-        mem: SharedMem,
-        irq: IrqController,
-        pmc: SharedPmc,
-        rng: SimRng,
-        access: crate::access::SharedAccessLog,
-    ) -> Self {
+    /// A powered-off device over `core`.
+    pub(crate) fn new(core: DevCore) -> Self {
         V3dGpu {
-            sku,
-            clock,
-            mem,
-            irq,
-            pmc,
-            rng,
+            core,
             int_sts: 0,
             int_msk: 0,
             ct0ca: 0,
@@ -141,41 +102,20 @@ impl V3dGpu {
             mmu_ctrl: 0,
             mmu_addr: 0,
             running: false,
-            access,
-            resetting: false,
-            flushing: false,
-            flush_done_at: SimTime::ZERO,
-            events: EventQueue::new(),
-            offline_fault_pending: false,
-            glitch_armed: false,
-            jobs_completed: 0,
-            tlb: SoftTlb::new(),
-            scratch: ExecScratch::new(),
         }
-    }
-
-    fn power_stable(&self) -> bool {
-        self.pmc.is_stable(PmcDomain::GpuCore) && self.pmc.is_stable(PmcDomain::GpuMem)
     }
 
     fn update_irq_line(&self) {
-        if self.int_sts & self.int_msk != 0 {
-            self.irq.raise(irq_lines::V3D);
-        } else {
-            self.irq.clear(irq_lines::V3D);
-        }
+        self.core
+            .set_irq(irq_lines::V3D, self.int_sts & self.int_msk != 0);
     }
 
     /// The job-memory view under the current MMU configuration.
     fn job_mem(&self) -> JobMem<ActiveMmu> {
-        JobMem::new(
-            self.mem.clone(),
-            self.access.clone(),
-            ActiveMmu {
-                table: self.mmu_pt_base,
-                enabled: self.mmu_ctrl & 1 != 0,
-            },
-        )
+        self.core.job_mem(ActiveMmu {
+            table: self.mmu_pt_base,
+            enabled: self.mmu_ctrl & 1 != 0,
+        })
     }
 
     /// The control list `[CT0CA, CT0EA)` as it is in memory now.
@@ -198,6 +138,14 @@ impl V3dGpu {
         self.raise_error(r::ERR_BAD_CL);
     }
 
+    /// A core glitch or offlined cores: a power error with the MMU-fault
+    /// interrupt, which is how this family reports a lost list.
+    fn raise_power_fault(&mut self) {
+        self.raise_error(r::ERR_POWER);
+        self.int_sts |= r::INT_MMU_FAULT;
+        self.update_irq_line();
+    }
+
     /// Maps a shared-executor fault to this family's registers.
     fn raise(&mut self, fault: JobFault) {
         match fault {
@@ -207,21 +155,18 @@ impl V3dGpu {
     }
 
     fn submit(&mut self) {
-        if !self.power_stable() {
+        if !self.core.power_stable() {
             self.err_stat = r::ERR_POWER;
             return;
         }
-        if self.running || self.resetting {
+        if self.running || self.core.resetting {
             // Depth-1 queue: this is exactly why the paper's GPU model can
             // treat v3d submission as naturally synchronous.
             self.err_stat = r::ERR_BUSY;
             return;
         }
-        if self.glitch_armed {
-            self.glitch_armed = false;
-            self.raise_error(r::ERR_POWER);
-            self.int_sts |= r::INT_MMU_FAULT;
-            self.update_irq_line();
+        if std::mem::take(&mut self.core.glitch_armed) {
+            self.raise_power_fault();
             return;
         }
         let len = self.ct0ea.saturating_sub(self.ct0ca);
@@ -236,31 +181,21 @@ impl V3dGpu {
                 return;
             }
         };
-        let total = shaders
-            .iter()
-            .fold(JobCost::default(), |acc, (_, _, c)| acc + *c);
-        let mhz = self.pmc.clock_mhz(PmcDomain::GpuCore);
-        let d = timing::job_duration(total, shaders.len() as u32, self.sku.cores, mhz, self.sku);
-        if d == SimDuration::MAX {
+        let cores = self.core.sku.cores;
+        if !self.core.schedule_job(shaders.iter().map(|s| s.2), cores) {
             self.raise_error(r::ERR_POWER);
             return;
         }
-        let d = timing::jittered(d, &mut self.rng) + timing::IRQ_LATENCY;
         self.running = true;
         self.err_stat = r::ERR_NONE;
-        self.events.schedule(self.clock.now() + d, Event::List);
     }
 
     fn complete_list(&mut self) {
-        if !self.running {
+        if !std::mem::take(&mut self.running) {
             return;
         }
-        self.running = false;
-        if self.offline_fault_pending {
-            self.offline_fault_pending = false;
-            self.raise_error(r::ERR_POWER);
-            self.int_sts |= r::INT_MMU_FAULT;
-            self.update_irq_line();
+        if std::mem::take(&mut self.core.offline_pending) {
+            self.raise_power_fault();
             return;
         }
         // The list and its shaders are read from memory as they are now,
@@ -268,23 +203,23 @@ impl V3dGpu {
         let jm = self.job_mem();
         let result = self.collect_list(&jm).and_then(|shaders| {
             let shaders = shaders.iter().map(|&(va, len, _)| (va, len as usize));
-            jm.execute(shaders, &mut self.tlb, &mut self.scratch)
+            self.core.execute(&jm, shaders)
         });
         if let Err(fault) = result {
             self.raise(fault);
             return;
         }
-        self.jobs_completed += 1;
         self.ct0ca = self.ct0ea; // CA advances to EA on completion
         self.int_sts |= r::INT_DONE;
         self.update_irq_line();
     }
 
     fn soft_reset(&mut self) {
-        self.events.clear();
+        if !self.core.reset() {
+            self.err_stat = r::ERR_POWER;
+            return;
+        }
         self.running = false;
-        self.resetting = true;
-        self.flushing = false;
         self.int_sts = 0;
         self.err_stat = 0;
         self.mmu_ctrl = 0;
@@ -292,13 +227,7 @@ impl V3dGpu {
         self.mmu_addr = 0;
         self.ct0ca = 0;
         self.ct0ea = 0;
-        self.offline_fault_pending = false;
-        self.tlb.flush();
-        // Reset invalidates warm-residency anchors like cached translations.
-        self.mem.bump_gpu_epoch();
         self.update_irq_line();
-        self.events
-            .schedule(self.clock.now() + timing::SOFT_RESET_DELAY, Event::Reset);
     }
 }
 
@@ -306,7 +235,7 @@ impl GpuDev for V3dGpu {
     fn read32(&mut self, off: u32) -> u32 {
         self.tick();
         match off {
-            r::IDENT => self.sku.gpu_id,
+            r::IDENT => self.core.sku.gpu_id,
             r::INT_STS => self.int_sts,
             r::INT_MSK => self.int_msk,
             r::CT0CA_LO => self.ct0ca as u32,
@@ -318,7 +247,7 @@ impl GpuDev for V3dGpu {
                 if self.running {
                     v |= r::CS_BUSY;
                 }
-                if self.resetting {
+                if self.core.resetting {
                     v |= r::CS_RESETTING;
                 }
                 if self.err_stat != 0 {
@@ -331,7 +260,7 @@ impl GpuDev for V3dGpu {
             r::MMU_CTRL => self.mmu_ctrl,
             r::MMU_ADDR => self.mmu_addr,
             r::ERR_STAT => self.err_stat,
-            r::CACHE_CLEAN => u32::from(self.flushing),
+            r::CACHE_CLEAN => u32::from(self.core.flushing > 0),
             _ => 0,
         }
     }
@@ -356,87 +285,58 @@ impl GpuDev for V3dGpu {
             r::CT0EA_HI => self.ct0ea = (self.ct0ea & 0xFFFF_FFFF) | (u64::from(val) << 32),
             r::MMU_PT_BASE_LO => {
                 self.mmu_pt_base = (self.mmu_pt_base & !0xFFFF_FFFF) | u64::from(val);
-                self.tlb.flush();
-                self.mem.bump_gpu_epoch();
+                self.core.invalidate_translations();
             }
             r::MMU_PT_BASE_HI => {
                 self.mmu_pt_base = (self.mmu_pt_base & 0xFFFF_FFFF) | (u64::from(val) << 32);
-                self.tlb.flush();
-                self.mem.bump_gpu_epoch();
+                self.core.invalidate_translations();
             }
             r::MMU_CTRL => {
-                // Enable/disable or reconfigure acts as a TLB shootdown;
-                // warm-residency anchors taken under the old config are stale
-                // too. The TLB_CLEAR command bit is self-clearing: it forces
-                // the flush but is never stored.
+                // Enable/disable or reconfigure acts as a TLB shootdown.
+                // The TLB_CLEAR command bit is self-clearing: it forces the
+                // flush but is never stored.
                 self.mmu_ctrl = val & !r::MMU_CTRL_TLB_CLEAR;
-                self.tlb.flush();
-                self.mem.bump_gpu_epoch();
+                self.core.invalidate_translations();
             }
-            r::CTL_RESET if val & 1 != 0 => {
-                if self.power_stable() {
-                    self.soft_reset();
-                } else {
-                    self.err_stat = r::ERR_POWER;
-                }
-            }
-            r::CACHE_CLEAN if val & 1 != 0 && !self.flushing => {
-                self.flushing = true;
-                let d = timing::flush_delay(&mut self.rng);
-                self.flush_done_at = self.clock.now() + d;
-                self.events.schedule(self.flush_done_at, Event::Flush);
-            }
+            r::CTL_RESET if val & 1 != 0 => self.soft_reset(),
+            // One clean at a time: a request while cleaning joins it.
+            r::CACHE_CLEAN if val & 1 != 0 && self.core.flushing == 0 => self.core.flush(),
             _ => {}
         }
     }
 
     fn tick(&mut self) {
-        let now = self.clock.now();
-        while let Some(ev) = self.events.pop_due(now) {
-            match ev {
-                Event::Reset => self.resetting = false,
-                Event::Flush => self.flushing = false,
-                Event::List => self.complete_list(),
+        while let Some(ev) = self.core.pop_due() {
+            if ev == Event::Job {
+                self.complete_list();
             }
         }
     }
 
     fn next_event_time(&self) -> Option<SimTime> {
-        self.events.next_time()
+        self.core.next_event_time()
     }
 
     fn sku(&self) -> &'static GpuSku {
-        self.sku
+        self.core.sku
     }
 
     fn inject_fault(&mut self, fault: FaultKind) {
         match fault {
-            FaultKind::OfflineCores { .. } => {
-                if self.running {
-                    self.offline_fault_pending = true;
-                } else {
-                    self.glitch_armed = true;
-                }
-            }
+            FaultKind::OfflineCores { .. } => self.core.offline_cores(self.running.then_some(true)),
             FaultKind::CorruptPte { va } => {
-                if let Some(pte_pa) = pgtable::pte_address(self.mmu_pt_base, va) {
-                    if let Ok(pte) = self.mem.read_u32(pte_pa) {
-                        let _ = self.mem.write_u32(pte_pa, pte & !1);
-                    }
-                }
-                // The corruption must be observed even if the translation
-                // was already cached.
-                self.tlb.invalidate_page(va);
+                let pte_pa = pgtable::pte_address(self.mmu_pt_base, va);
+                self.core.corrupt_pte(pte_pa, va);
             }
         }
     }
 
     fn busy(&self) -> bool {
-        self.running || self.resetting || self.flushing
+        self.running || self.core.busy()
     }
 
     fn jobs_completed(&self) -> u64 {
-        self.jobs_completed
+        self.core.jobs_completed()
     }
 }
 
@@ -444,11 +344,13 @@ impl GpuDev for V3dGpu {
 mod tests {
     use super::*;
     use crate::sku::V3D_RPI4;
+    use crate::timing;
     use crate::v3d::cl::ClWriter;
     use crate::v3d::pgtable::{alloc_table, map_page, V3dPteFlags};
     use crate::vm::bytecode::KernelOp;
-    use gr_soc::pmc::{Pmc, SETTLE_DELAY};
-    use gr_soc::{FrameAllocator, PhysMem, PAGE_SIZE};
+    use gr_sim::{SimClock, SimRng};
+    use gr_soc::pmc::{Pmc, PmcDomain, SETTLE_DELAY};
+    use gr_soc::{FrameAllocator, IrqController, PhysMem, SharedPmc, PAGE_SIZE};
 
     struct Rig {
         clock: SimClock,
@@ -467,15 +369,14 @@ mod tests {
         pmc.write32(Pmc::pwr_ctrl_off(PmcDomain::GpuCore), 1);
         pmc.write32(Pmc::pwr_ctrl_off(PmcDomain::GpuMem), 1);
         clock.advance(SETTLE_DELAY);
-        let mut gpu = V3dGpu::new(
+        let mut gpu = V3dGpu::new(DevCore::new(
             &V3D_RPI4,
             clock.clone(),
             mem.clone(),
             irq.clone(),
             pmc,
             SimRng::seed_from(9),
-            crate::access::SharedAccessLog::new(),
-        );
+        ));
         let mut alloc = FrameAllocator::new(0x8000_0000, 512);
         // Reset + wait.
         gpu.write32(r::CTL_RESET, 1);

@@ -18,6 +18,10 @@
 //! Every element count derived from recorded dimensions is computed in
 //! `usize` with checked arithmetic: a product that overflows is
 //! [`ExecError::BadParams`], never a wrapped count and a kernel panic.
+//! Recorded dimensions can still claim an output far larger than memory,
+//! so every kernel that allocates its output first translates the output
+//! range for writing ([`VaMem::check_write`]): an unmapped output is an
+//! [`ExecError::MemFault`] before anything is allocated for it.
 
 use std::fmt;
 
@@ -94,6 +98,15 @@ pub trait VaMem {
         }
         self.write_bytes(va, &bytes)
     }
+
+    /// Translates `[va, va+len)` for writing without writing it, so a
+    /// kernel can fault on its output range before it allocates the
+    /// output.
+    ///
+    /// # Errors
+    ///
+    /// Returns the VA a write of the range would fault at.
+    fn check_write(&mut self, va: u64, len: usize) -> Result<(), u64>;
 }
 
 /// Why kernel execution failed.
@@ -164,6 +177,15 @@ fn store<M: VaMem + ?Sized>(mem: &mut M, va: u64, vals: &[f32]) -> Result<(), Ex
         .map_err(|va| ExecError::MemFault { va })
 }
 
+/// Faults unless all `n` f32s at `va` are writable. Every kernel that
+/// allocates its output calls this after its loads and before the kernel
+/// runs, so recorded dimensions cannot make it allocate more than the
+/// mapped memory it will store to.
+fn check_out<M: VaMem + ?Sized>(mem: &mut M, va: u64, n: usize) -> Result<(), ExecError> {
+    mem.check_write(va, n * 4)
+        .map_err(|va| ExecError::MemFault { va })
+}
+
 /// Most f32s a `Fill` stages per store (64 KiB).
 const FILL_CHUNK: usize = 16 * 1024;
 
@@ -177,11 +199,12 @@ fn elems(dims: &[u32]) -> Result<usize, ExecError> {
         .ok_or_else(|| ExecError::BadParams(format!("element count {dims:?} overflows")))
 }
 
-/// `act(x[m×k] · W[k×n] + bias)` for `MatMul` and `FullyConnected`. The
-/// weights stream from DRAM runs into [`k::Gemm`]; a weight VA that is not
-/// 4-byte aligned (its runs would split f32s) is staged instead and run
-/// through [`k::fully_connected`]. Loads happen in op order (x, weights,
-/// bias) either way.
+/// `out = act(x[m×k] · W[k×n] + bias)` for `MatMul` and `FullyConnected`.
+/// The weights stream from DRAM runs into [`k::Gemm`]; a weight VA that is
+/// not 4-byte aligned (its runs would split f32s) is staged instead and
+/// run through [`k::fully_connected`]. Loads happen in op order (x,
+/// weights, bias) either way; the output range is checked after `x` and
+/// before the accumulator is allocated, since the stream runs the kernel.
 #[allow(clippy::too_many_arguments)]
 fn gemm<M: VaMem + ?Sized>(
     mem: &mut M,
@@ -189,28 +212,28 @@ fn gemm<M: VaMem + ?Sized>(
     x: u64,
     w: u64,
     bias: u64,
+    out: u64,
     m: u32,
     kk: u32,
     n: u32,
     act: ActKind,
-) -> Result<Vec<f32>, ExecError> {
-    let (mk, kn) = (elems(&[m, kk])?, elems(&[kk, n])?);
-    elems(&[m, n])?;
+) -> Result<(), ExecError> {
+    let (mk, kn, mn) = (elems(&[m, kk])?, elems(&[kk, n])?, elems(&[m, n])?);
     load(mem, x, mk, &mut scratch.a)?;
+    check_out(mem, out, mn)?;
     let (m, kk, n) = (m as usize, kk as usize, n as usize);
-    if w % 4 == 0 {
+    let o = if w % 4 == 0 {
         let mut acc = k::Gemm::new(&scratch.a, m, kk, n);
         mem.read_runs(w, kn * 4, &mut |run| acc.feed(run))
             .map_err(|va| ExecError::MemFault { va })?;
         let bv = load_opt_bias(mem, bias, n, &mut scratch.c)?;
-        Ok(acc.finish(bv, act))
+        acc.finish(bv, act)
     } else {
         load(mem, w, kn, &mut scratch.b)?;
         let bv = load_opt_bias(mem, bias, n, &mut scratch.c)?;
-        Ok(k::fully_connected(
-            &scratch.a, &scratch.b, bv, m, kk, n, act,
-        ))
-    }
+        k::fully_connected(&scratch.a, &scratch.b, bv, m, kk, n, act)
+    };
+    store(mem, out, &o)
 }
 
 /// Loads an optional bias vector (`va == 0` means "no bias") into `buf`.
@@ -294,10 +317,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
             m,
             k: kk,
             n,
-        } => {
-            let o = gemm(mem, scratch, a, b, 0, m, kk, n, ActKind::None)?;
-            store(mem, out, &o)
-        }
+        } => gemm(mem, scratch, a, b, 0, out, m, kk, n, ActKind::None),
         FullyConnected {
             x,
             w,
@@ -307,10 +327,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
             k: kk,
             n,
             act,
-        } => {
-            let o = gemm(mem, scratch, x, w, bias, m, kk, n, act)?;
-            store(mem, out, &o)
-        }
+        } => gemm(mem, scratch, x, w, bias, out, m, kk, n, act),
         Conv2d {
             x,
             w,
@@ -334,7 +351,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
             }
             let ho = k::out_dim(h, kh, stride, pad);
             let wo = k::out_dim(wd, kw, stride, pad);
-            elems(&[cout, ho, wo])?;
+            let n_out = elems(&[cout, ho, wo])?;
             load(mem, x, elems(&[cin, h, wd])?, &mut scratch.a)?;
             load(
                 mem,
@@ -343,6 +360,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
                 &mut scratch.b,
             )?;
             let bv = load_opt_bias(mem, bias, cout as usize, &mut scratch.c)?;
+            check_out(mem, out, n_out)?;
             let o = k::conv2d(
                 &scratch.a,
                 &scratch.b,
@@ -375,12 +393,13 @@ pub fn execute_with<M: VaMem + ?Sized>(
                     "pool win={win} stride={stride} h={h} w={wd}"
                 )));
             }
-            elems(&[
+            let n_out = elems(&[
                 c,
                 k::out_dim(h, win, stride, 0),
                 k::out_dim(wd, win, stride, 0),
             ])?;
             load(mem, x, elems(&[c, h, wd])?, &mut scratch.a)?;
+            check_out(mem, out, n_out)?;
             let o = k::pool2d(
                 &scratch.a,
                 c as usize,
@@ -398,7 +417,9 @@ pub fn execute_with<M: VaMem + ?Sized>(
             store(mem, out, &scratch.c)
         }
         Softmax { x, out, rows, cols } => {
-            load(mem, x, elems(&[rows, cols])?, &mut scratch.a)?;
+            let n = elems(&[rows, cols])?;
+            load(mem, x, n, &mut scratch.a)?;
+            check_out(mem, out, n)?;
             let o = k::softmax(&scratch.a, rows as usize, cols as usize);
             store(mem, out, &o)
         }
@@ -409,8 +430,9 @@ pub fn execute_with<M: VaMem + ?Sized>(
             store(mem, out, &scratch.a)
         }
         Upsample2x { x, out, c, h, wd } => {
-            elems(&[c, h, 2, wd, 2])?;
+            let n_out = elems(&[c, h, 2, wd, 2])?;
             load(mem, x, elems(&[c, h, wd])?, &mut scratch.a)?;
+            check_out(mem, out, n_out)?;
             let o = k::upsample2x(&scratch.a, c as usize, h as usize, wd as usize);
             store(mem, out, &o)
         }
@@ -422,9 +444,11 @@ pub fn execute_with<M: VaMem + ?Sized>(
             c,
             hw,
         } => {
-            load(mem, x, elems(&[c, hw])?, &mut scratch.a)?;
+            let n = elems(&[c, hw])?;
+            load(mem, x, n, &mut scratch.a)?;
             load(mem, scale, c as usize, &mut scratch.b)?;
             load(mem, shift, c as usize, &mut scratch.c)?;
+            check_out(mem, out, n)?;
             let o = k::batchnorm_inf(&scratch.a, &scratch.b, &scratch.c, c as usize, hw as usize);
             store(mem, out, &o)
         }
@@ -442,7 +466,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
             if stride == 0 {
                 return Err(ExecError::BadParams("im2col stride=0".into()));
             }
-            elems(&[
+            let n_out = elems(&[
                 k::out_dim(h, kh, stride, pad),
                 k::out_dim(wd, kw, stride, pad),
                 cin,
@@ -450,6 +474,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
                 kw,
             ])?;
             load(mem, x, elems(&[cin, h, wd])?, &mut scratch.a)?;
+            check_out(mem, out, n_out)?;
             let o = k::im2col(
                 &scratch.a,
                 cin as usize,
@@ -469,7 +494,8 @@ pub fn execute_with<M: VaMem + ?Sized>(
             rows,
             cols,
         } => {
-            load(mem, probs, elems(&[rows, cols])?, &mut scratch.a)?;
+            let n = elems(&[rows, cols])?;
+            load(mem, probs, n, &mut scratch.a)?;
             load(mem, labels, rows as usize, &mut scratch.b)?;
             for &l in &scratch.b {
                 // Non-finite labels must be rejected explicitly: NaN
@@ -479,6 +505,7 @@ pub fn execute_with<M: VaMem + ?Sized>(
                     return Err(ExecError::BadParams(format!("label {l} out of range")));
                 }
             }
+            check_out(mem, dx, n)?;
             let o = k::softmax_xent_grad(&scratch.a, &scratch.b, rows as usize, cols as usize);
             store(mem, dx, &o)
         }
@@ -490,9 +517,10 @@ pub fn execute_with<M: VaMem + ?Sized>(
             k: kk,
             n,
         } => {
-            elems(&[kk, n])?;
+            let n_out = elems(&[kk, n])?;
             load(mem, x, elems(&[m, kk])?, &mut scratch.a)?;
             load(mem, dy, elems(&[m, n])?, &mut scratch.b)?;
+            check_out(mem, dw, n_out)?;
             let o = k::matmul_grad_w(&scratch.a, &scratch.b, m as usize, kk as usize, n as usize);
             store(mem, dw, &o)
         }
@@ -504,9 +532,10 @@ pub fn execute_with<M: VaMem + ?Sized>(
             k: kk,
             n,
         } => {
-            elems(&[m, kk])?;
+            let n_out = elems(&[m, kk])?;
             load(mem, dy, elems(&[m, n])?, &mut scratch.a)?;
             load(mem, w, elems(&[kk, n])?, &mut scratch.b)?;
+            check_out(mem, dx, n_out)?;
             let o = k::matmul_grad_x(&scratch.a, &scratch.b, m as usize, kk as usize, n as usize);
             store(mem, dx, &o)
         }
@@ -514,11 +543,13 @@ pub fn execute_with<M: VaMem + ?Sized>(
             let n = elems(&[n])?;
             load(mem, x, n, &mut scratch.a)?;
             load(mem, dy, n, &mut scratch.b)?;
+            check_out(mem, dx, n)?;
             let o = k::relu_grad(&scratch.a, &scratch.b);
             store(mem, dx, &o)
         }
         BiasGradReduce { dy, db, m, n } => {
             load(mem, dy, elems(&[m, n])?, &mut scratch.a)?;
+            check_out(mem, db, n as usize)?;
             let o = k::bias_grad(&scratch.a, m as usize, n as usize);
             store(mem, db, &o)
         }
@@ -547,9 +578,10 @@ pub fn execute_with<M: VaMem + ?Sized>(
             }
             let ho = k::out_dim(h, kh, stride, pad);
             let wo = k::out_dim(wd, kw, stride, pad);
-            elems(&[cout, cin, kh, kw])?;
+            let n_out = elems(&[cout, cin, kh, kw])?;
             load(mem, x, elems(&[cin, h, wd])?, &mut scratch.a)?;
             load(mem, dy, elems(&[cout, ho, wo])?, &mut scratch.b)?;
+            check_out(mem, dw, n_out)?;
             let o = k::conv2d_grad_w(
                 &scratch.a,
                 &scratch.b,
@@ -582,9 +614,10 @@ pub fn execute_with<M: VaMem + ?Sized>(
             }
             let ho = k::out_dim(h, kh, stride, pad);
             let wo = k::out_dim(wd, kw, stride, pad);
-            elems(&[cin, h, wd])?;
+            let n_out = elems(&[cin, h, wd])?;
             load(mem, dy, elems(&[cout, ho, wo])?, &mut scratch.a)?;
             load(mem, w, elems(&[cout, cin, kh, kw])?, &mut scratch.b)?;
+            check_out(mem, dx, n_out)?;
             let o = k::conv2d_grad_x(
                 &scratch.a,
                 &scratch.b,
@@ -615,8 +648,10 @@ pub fn execute_with<M: VaMem + ?Sized>(
             }
             let ho = k::out_dim(h, win, stride, 0);
             let wo = k::out_dim(wd, win, stride, 0);
-            load(mem, x, elems(&[c, h, wd])?, &mut scratch.a)?;
+            let n = elems(&[c, h, wd])?;
+            load(mem, x, n, &mut scratch.a)?;
             load(mem, dy, elems(&[c, ho, wo])?, &mut scratch.b)?;
+            check_out(mem, dx, n)?;
             let o = k::pool_grad(
                 &scratch.a,
                 &scratch.b,
@@ -692,6 +727,9 @@ mod tests {
                 p[(a % PG) as usize] = b;
             }
             Ok(())
+        }
+        fn check_write(&mut self, va: u64, len: usize) -> Result<(), u64> {
+            self.check(va, len)
         }
     }
 
@@ -936,6 +974,9 @@ mod tests {
         fn write_bytes(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
             self.mem.write_bytes(va, data)
         }
+        fn check_write(&mut self, va: u64, len: usize) -> Result<(), u64> {
+            self.mem.check_write(va, len)
+        }
         fn read_runs(&mut self, va: u64, len: usize, f: &mut dyn FnMut(&[u8])) -> Result<(), u64> {
             let bytes = self.mem.read_bytes(va, len)?;
             let mut rest = &bytes[..];
@@ -1161,7 +1202,8 @@ mod tests {
             },
         ];
         for op in ops {
-            let mut vm = crate::device::TranslatingVaMem::new(&mem, one_page);
+            let log = crate::access::SharedAccessLog::new();
+            let mut vm = crate::device::TranslatingVaMem::new(&mem, &log, one_page);
             gr_testalloc::reset();
             assert_eq!(
                 execute(&op, &mut vm),
@@ -1171,5 +1213,88 @@ mod tests {
             let peak = gr_testalloc::largest();
             assert!(peak < 1 << 20, "{op:?} allocated {peak} bytes");
         }
+    }
+
+    /// Runs `op` on one writable page at VA 0x10000 with every other page
+    /// unmapped, and demands a fault at the next page with no large
+    /// allocation on the way.
+    fn faults_past_one_page_without_allocating(op: KernelOp) {
+        let mem = gr_soc::SharedMem::new(gr_soc::PhysMem::new(0, 4 * PG as usize));
+        let log = crate::access::SharedAccessLog::new();
+        let mut vm = crate::device::TranslatingVaMem::new(&mem, &log, |page_va: u64| {
+            (page_va == 0x1_0000).then_some((PG, true))
+        });
+        gr_testalloc::reset();
+        assert_eq!(
+            execute(&op, &mut vm),
+            Err(ExecError::MemFault { va: 0x1_1000 }),
+            "{op:?}"
+        );
+        let peak = gr_testalloc::largest();
+        assert!(peak < 1 << 20, "{op:?} allocated {peak} bytes");
+    }
+
+    /// 2^23 · 2^23 f32s are 2^48 bytes, more than a 47-bit address space
+    /// can hold: allocating that output aborts the process.
+    const HUGE: u32 = 1 << 23;
+
+    #[test]
+    fn gemm_output_faults_before_the_accumulator_is_allocated() {
+        faults_past_one_page_without_allocating(KernelOp::MatMul {
+            a: 0x1_0000,
+            b: 0x1_0000,
+            out: 0x1_0000,
+            m: HUGE,
+            k: 0,
+            n: HUGE,
+        });
+        faults_past_one_page_without_allocating(KernelOp::FullyConnected {
+            x: 0x1_0000,
+            w: 0x1_0000,
+            bias: 0,
+            out: 0x1_0000,
+            m: HUGE,
+            k: 0,
+            n: HUGE,
+            act: ActKind::Relu,
+        });
+    }
+
+    /// A 1×1 input padded by 2^29 on each side has a (2^30 + 1)² output.
+    const HUGE_PAD: u32 = 1 << 29;
+
+    #[test]
+    fn conv2d_output_inflated_by_pad_faults_before_allocating() {
+        faults_past_one_page_without_allocating(KernelOp::Conv2d {
+            x: 0x1_0000,
+            w: 0x1_0000,
+            bias: 0,
+            out: 0x1_0000,
+            cin: 1,
+            h: 1,
+            wd: 1,
+            cout: 1,
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pad: HUGE_PAD,
+            groups: 1,
+            act: ActKind::None,
+        });
+    }
+
+    #[test]
+    fn im2col_output_inflated_by_pad_faults_before_allocating() {
+        faults_past_one_page_without_allocating(KernelOp::Im2Col {
+            x: 0x1_0000,
+            out: 0x1_0000,
+            cin: 1,
+            h: 1,
+            wd: 1,
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pad: HUGE_PAD,
+        });
     }
 }

@@ -8,6 +8,7 @@
 
 use gr_gpu::device::{SoftTlb, TranslatingVaMem};
 use gr_gpu::vm::exec::VaMem;
+use gr_gpu::SharedAccessLog;
 use gr_soc::{PhysMem, SharedMem, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -69,14 +70,15 @@ proptest! {
         // walking the mapping on every access.
         let mem_tlb = dram();
         let mem_walk = dram();
+        let log = SharedAccessLog::new();
         let mut tlb = SoftTlb::new();
         let mut mapping = mapping;
         let half = accesses.len() / 2;
 
         {
             let translate = make_translate(mapping.clone());
-            let mut with_tlb = TranslatingVaMem::with_tlb(&mem_tlb, translate.clone(), &mut tlb);
-            let mut walk = TranslatingVaMem::new(&mem_walk, translate);
+            let mut with_tlb = TranslatingVaMem::with_tlb(&mem_tlb, &log, translate.clone(), &mut tlb);
+            let mut walk = TranslatingVaMem::new(&mem_walk, &log, translate);
             for acc in &accesses[..half] {
                 assert_eq!(apply(&mut with_tlb, acc), apply(&mut walk, acc));
             }
@@ -92,8 +94,8 @@ proptest! {
 
         {
             let translate = make_translate(mapping.clone());
-            let mut with_tlb = TranslatingVaMem::with_tlb(&mem_tlb, translate.clone(), &mut tlb);
-            let mut walk = TranslatingVaMem::new(&mem_walk, translate);
+            let mut with_tlb = TranslatingVaMem::with_tlb(&mem_tlb, &log, translate.clone(), &mut tlb);
+            let mut walk = TranslatingVaMem::new(&mem_walk, &log, translate);
             for acc in &accesses[half..] {
                 assert_eq!(apply(&mut with_tlb, acc), apply(&mut walk, acc));
             }
@@ -110,9 +112,10 @@ proptest! {
 #[test]
 fn boundary_straddling_reads_hit_every_page_once() {
     let mem = dram();
+    let log = SharedAccessLog::new();
     let mut tlb = SoftTlb::new();
     let mapping: Vec<(u64, bool)> = (0..VA_PAGES as u64).map(|i| (i + 2, true)).collect();
-    let mut vm = TranslatingVaMem::with_tlb(&mem, make_translate(mapping), &mut tlb);
+    let mut vm = TranslatingVaMem::with_tlb(&mem, &log, make_translate(mapping), &mut tlb);
     // A write spanning three pages, twice; translations are cached after
     // the first pass.
     let va = PAGE_SIZE as u64 - 100;

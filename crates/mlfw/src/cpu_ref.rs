@@ -47,27 +47,45 @@ impl CpuMem {
     }
 }
 
+impl CpuMem {
+    /// Calls `f(page, offset in page, offset in the access, length)` for
+    /// each page-bounded piece of `[va, va+len)`, in VA order.
+    fn pieces(va: u64, len: usize, mut f: impl FnMut(u64, usize, usize, usize)) {
+        let mut done = 0;
+        while done < len {
+            let a = va + done as u64;
+            let in_page = (a % PG) as usize;
+            let n = (PG as usize - in_page).min(len - done);
+            f(a / PG, in_page, done, n);
+            done += n;
+        }
+    }
+}
+
 impl VaMem for CpuMem {
     fn read_bytes(&mut self, va: u64, len: usize) -> Result<Vec<u8>, u64> {
+        // Pages never written read as zeros.
         let mut out = vec![0u8; len];
-        for (i, b) in out.iter_mut().enumerate() {
-            let a = va + i as u64;
-            if let Some(p) = self.pages.get(&(a / PG)) {
-                *b = p[(a % PG) as usize];
+        Self::pieces(va, len, |page, at, off, n| {
+            if let Some(p) = self.pages.get(&page) {
+                out[off..off + n].copy_from_slice(&p[at..at + n]);
             }
-        }
+        });
         Ok(out)
     }
 
     fn write_bytes(&mut self, va: u64, data: &[u8]) -> Result<(), u64> {
-        for (i, &b) in data.iter().enumerate() {
-            let a = va + i as u64;
+        Self::pieces(va, data.len(), |page, at, off, n| {
             let p = self
                 .pages
-                .entry(a / PG)
+                .entry(page)
                 .or_insert_with(|| vec![0; PG as usize]);
-            p[(a % PG) as usize] = b;
-        }
+            p[at..at + n].copy_from_slice(&data[off..off + n]);
+        });
+        Ok(())
+    }
+
+    fn check_write(&mut self, _va: u64, _len: usize) -> Result<(), u64> {
         Ok(())
     }
 }

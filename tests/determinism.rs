@@ -120,3 +120,42 @@ fn grz_compression_is_deterministic() {
         .collect();
     assert_eq!(grz_compress(&data), grz_compress(&data));
 }
+
+/// Pins the whole record → replay timeline of MNIST on both GPU families:
+/// the container checksum (actions, recorded intervals, dumps) and one
+/// replay's virtual `wall`, `startup` and `jobs`. A change to the device
+/// models' timing, the RNG draw order or the replayer's cost charging
+/// moves one of these numbers; such a change must update them on purpose.
+#[test]
+fn mnist_record_replay_timeline_is_pinned() {
+    let cases = [
+        (&sku::MALI_G71, (0x4cf1_6686_9baa_636a, 691_907, 417_798, 8)),
+        (&sku::V3D_RPI4, (0x3e76_b2ce_198b_e80c, 650_036, 371_424, 8)),
+    ];
+    for (sku, want) in cases {
+        let mut harness = RecordHarness::new(Machine::new(sku, 41)).unwrap();
+        let recs = harness
+            .record_inference(&models::mnist(), Granularity::WholeNn, 42)
+            .unwrap();
+        harness.finish();
+        let bytes = recs.recordings[0].to_bytes();
+        let sum = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+
+        let env = Environment::new(EnvKind::UserLevel, Machine::new(sku, 43)).unwrap();
+        let mut replayer = Replayer::new(env);
+        let id = replayer.load_bytes(&bytes).unwrap();
+        let mut io = ReplayIo::for_recording(replayer.recording(id));
+        let input: Vec<f32> = (0..recs.net.input_len())
+            .map(|i| (i as f32 * 0.01).cos())
+            .collect();
+        io.set_input_f32(0, &input).unwrap();
+        let report = replayer.replay(id, &mut io).unwrap();
+        let got = (
+            sum,
+            report.wall.as_nanos(),
+            report.startup.as_nanos(),
+            report.jobs,
+        );
+        assert_eq!(got, want, "{} timeline moved", sku.name);
+    }
+}

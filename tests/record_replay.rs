@@ -371,3 +371,64 @@ fn conflicting_maps_are_rejected_at_load() {
         replayer.cleanup();
     }
 }
+
+/// `resume` checks its arguments before it touches the GPU. A checkpoint
+/// taken in another recording, an unknown id and an `io` that does not
+/// fit the recording are typed errors that keep the checkpoint, which
+/// its own recording then gets past those checks with.
+#[test]
+fn resume_rejects_foreign_checkpoints_unknown_ids_and_misfit_io() {
+    use gr_replayer::ReplayError;
+    let mut harness = RecordHarness::new(Machine::new(&sku::MALI_G71, 17)).unwrap();
+    let recs = harness
+        .record_inference(&models::mnist(), Granularity::WholeNn, 18)
+        .unwrap();
+    let vecadd = harness.record_vecadd(512, 16_000_000, 19).unwrap();
+    harness.finish();
+    let env = Environment::new(EnvKind::UserLevel, Machine::new(&sku::MALI_G71, 20)).unwrap();
+    let mut replayer = Replayer::new(env);
+    let mnist = replayer.load(recs.recordings[0].clone()).unwrap();
+    let small = replayer.load(vecadd).unwrap();
+    assert!(
+        replayer.recording(small).actions.len() < replayer.recording(mnist).actions.len(),
+        "the foreign recording is the shorter one"
+    );
+
+    let input = random_input(recs.net.input_len(), 21);
+    let mut io = ReplayIo::for_recording(replayer.recording(mnist));
+    io.set_input_f32(0, &input).unwrap();
+    replayer.checkpoint_every_jobs = Some(4);
+    assert!(replayer.replay(mnist, &mut io).unwrap().checkpoints > 0);
+
+    let mut small_io = ReplayIo::for_recording(replayer.recording(small));
+    assert!(matches!(
+        replayer.resume(small, &mut small_io),
+        Err(ReplayError::Verify(_))
+    ));
+    assert!(matches!(
+        replayer.resume(99, &mut io),
+        Err(ReplayError::BadRecording(99))
+    ));
+    let mut short_input = io.clone();
+    short_input.inputs[0].pop();
+    assert!(matches!(
+        replayer.resume(mnist, &mut short_input),
+        Err(ReplayError::Io(_))
+    ));
+    let mut no_outputs = io.clone();
+    no_outputs.outputs.clear();
+    assert!(matches!(
+        replayer.resume(mnist, &mut no_outputs),
+        Err(ReplayError::Io(_))
+    ));
+
+    let resumed = replayer.resume(mnist, &mut io);
+    assert!(
+        !matches!(
+            resumed,
+            Err(ReplayError::Verify(_) | ReplayError::Io(_) | ReplayError::BadRecording(_))
+        ),
+        "{resumed:?}"
+    );
+    replayer.cleanup();
+}
