@@ -154,7 +154,7 @@ pub fn grz_compress(data: &[u8]) -> Vec<u8> {
 /// stream bytes for `8 * MAX_MATCH` output bytes. No token mix beats that
 /// ratio (a literal yields one byte per stream byte), so the bound holds
 /// for any body, truncated groups included.
-fn max_expansion(body_len: usize) -> u64 {
+pub(crate) fn max_expansion(body_len: usize) -> u64 {
     body_len as u64 * (8 * MAX_MATCH as u64) / 25
 }
 
@@ -182,9 +182,10 @@ pub(crate) fn grz_len(stream: &[u8]) -> Result<usize, GrzError> {
 /// Decompresses a GRZ stream.
 ///
 /// Decodes into a buffer sized up front from the (bounded) header length.
-/// An all-literal group copies as one 8-byte slice; a match copies with
-/// `copy_within` unless it overlaps its own output (distance shorter than
-/// length), which replicates byte by byte.
+/// An all-literal group copies as one 8-byte slice. A match that overlaps
+/// its own output (distance shorter than length) is a run: distance 1 is
+/// one `fill`, any other distance a few `copy_within`s that double the
+/// copied period each time.
 ///
 /// # Errors
 ///
@@ -227,11 +228,19 @@ pub fn grz_decompress(stream: &[u8]) -> Result<Vec<u8>, GrzError> {
                     return Err(GrzError::LengthMismatch);
                 }
                 let start = o - dist;
-                if dist >= len {
-                    out.copy_within(start..start + len, o);
+                if dist == 1 {
+                    let b = out[start];
+                    out[o..o + len].fill(b);
                 } else {
-                    for k in 0..len {
-                        out[o + k] = out[start + k];
+                    // The match repeats `out[start..o]` with period `dist`.
+                    // Each copy reads only bytes already written and ends
+                    // on a whole period, so the next one may take twice as
+                    // much from `start`.
+                    let mut done = 0;
+                    while done < len {
+                        let n = (dist + done).min(len - done);
+                        out.copy_within(start..start + n, o + done);
+                        done += n;
                     }
                 }
                 o += len;
@@ -358,6 +367,29 @@ mod tests {
         z.extend_from_slice(&(out_len as u32).to_le_bytes());
         z.extend_from_slice(&body);
         z
+    }
+
+    /// A stream of 16 literals (seeded by `lit`) followed by one match per
+    /// `(dist, len - MIN_MATCH)` in `runs`: periodic runs with distances
+    /// 1–16, through `encode_tokens`' short-reach match seeds.
+    fn periodic_runs(lit: u16, runs: &[(u16, u16)]) -> Vec<u8> {
+        let mut seeds: Vec<(u16, u16)> = (0..16).map(|i| (0, lit.wrapping_mul(i + 7))).collect();
+        seeds.extend(runs.iter().map(|&(dist, l)| ((l << 4) | 2, dist - 1)));
+        encode_tokens(&seeds)
+    }
+
+    #[test]
+    fn every_run_remainder_matches_the_oracle() {
+        // Run copies double from `dist` bytes; these lengths end them on
+        // every remainder of up to four doublings, and at `MAX_MATCH`.
+        let lens = (0..300).chain(MAX_MATCH - MIN_MATCH - 16..=MAX_MATCH - MIN_MATCH);
+        for l in lens {
+            for dist in 1..=16 {
+                let z = periodic_runs(0x5a3, &[(dist, l as u16)]);
+                assert!(grz_decompress(&z).is_ok(), "dist {dist} len {l}");
+                differential(&z);
+            }
+        }
     }
 
     #[test]
@@ -532,9 +564,13 @@ mod tests {
 
         #[test]
         fn prop_matches_oracle_on_overlapping_matches(
-            seeds in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..64)
+            seeds in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..64),
+            runs in proptest::collection::vec((1u16..17, 0u16..4096), 1..6)
         ) {
             let z = encode_tokens(&seeds);
+            assert!(grz_decompress(&z).is_ok());
+            differential(&z);
+            let z = periodic_runs(seeds[0].1, &runs);
             assert!(grz_decompress(&z).is_ok());
             differential(&z);
         }

@@ -16,6 +16,12 @@
 //! must equal `len` before anything is allocated for it. Each body decodes
 //! straight into its own dump's buffer.
 //!
+//! **One pass.** [`Recording::from_bytes`] hashes the payload as it parses
+//! it, and hashes each stored body block by block as it copies it out, so
+//! every byte is read once. GRZ bodies are decoded only after the checksum
+//! of the whole payload matched, so a corrupt container is
+//! [`ContainerError::ChecksumMismatch`] even where it also fails to parse.
+//!
 //! **Checksum (version 4).** [`checksum`] reads the payload as
 //! little-endian `u64` words dealt round-robin to eight independent lanes,
 //! each updated as `h = rotl((h ^ word) * K, 29)` with an odd 64-bit `K`;
@@ -49,6 +55,9 @@ const VERSION: u32 = 4;
 const STORED: u8 = 0;
 /// Dump body coding: a GRZ stream.
 const GRZ: u8 = 1;
+/// Bytes of a dump record before its body: `va`, `len`, coding and body
+/// length.
+const DUMP_RECORD: usize = 8 + 4 + 1 + 4;
 
 /// A complete recording: everything needed to reproduce a fixed sequence
 /// of GPU jobs on new input.
@@ -127,26 +136,86 @@ fn word(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("8-byte word"))
 }
 
+/// Bytes of one checksum round: a word for each lane.
+const ROUND: usize = 8 * LANES;
+
 /// The payload checksum, also the recorder's per-page fingerprint (see
 /// the module doc for its detection guarantee).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes: [u64; LANES] = std::array::from_fn(|i| SEED ^ i as u64);
-    let mut chunks = bytes.chunks_exact(8 * LANES);
-    for c in &mut chunks {
-        for (l, w) in lanes.iter_mut().zip(c.chunks_exact(8)) {
-            *l = mix(*l, word(w));
+    let mut sum = Checksum::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum`] over input that arrives in pieces: any split of the same
+/// bytes gives the same result as one call over all of them.
+pub(crate) struct Checksum {
+    lanes: [u64; LANES],
+    /// The start of a round that an earlier piece left unfinished.
+    pending: [u8; ROUND],
+    pending_len: usize,
+    len: u64,
+}
+
+impl Checksum {
+    /// The state before any byte.
+    pub(crate) fn new() -> Self {
+        Checksum {
+            lanes: std::array::from_fn(|i| SEED ^ i as u64),
+            pending: [0; ROUND],
+            pending_len: 0,
+            len: 0,
         }
     }
-    let mut words = chunks.remainder().chunks_exact(8);
-    for (l, w) in lanes.iter_mut().zip(&mut words) {
-        *l = mix(*l, word(w));
+
+    /// Feeds the next `bytes`.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let n = (ROUND - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + n].copy_from_slice(&bytes[..n]);
+            self.pending_len += n;
+            bytes = &bytes[n..];
+            if self.pending_len < ROUND {
+                return;
+            }
+            let round = self.pending;
+            self.rounds(&round);
+            self.pending_len = 0;
+        }
+        let whole = bytes.len() - bytes.len() % ROUND;
+        self.rounds(&bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
     }
-    let mut tail = [0u8; 8];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    lanes
-        .into_iter()
-        .chain([u64::from_le_bytes(tail), bytes.len() as u64])
-        .fold(SEED, mix)
+
+    /// Steps the lanes over whole rounds.
+    fn rounds(&mut self, bytes: &[u8]) {
+        let mut lanes = self.lanes;
+        for c in bytes.chunks_exact(ROUND) {
+            for (l, w) in lanes.iter_mut().zip(c.chunks_exact(8)) {
+                *l = mix(*l, word(w));
+            }
+        }
+        self.lanes = lanes;
+    }
+
+    /// The checksum of everything fed so far.
+    pub(crate) fn finish(&self) -> u64 {
+        let rest = &self.pending[..self.pending_len];
+        let mut lanes = self.lanes;
+        let mut words = rest.chunks_exact(8);
+        for (l, w) in lanes.iter_mut().zip(&mut words) {
+            *l = mix(*l, word(w));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        lanes
+            .into_iter()
+            .chain([u64::from_le_bytes(tail), self.len])
+            .fold(SEED, mix)
+    }
 }
 
 #[derive(Default)]
@@ -180,12 +249,55 @@ impl W {
     }
 }
 
+/// Bytes hashed and copied together when a stored body is read, so each
+/// block is still in cache for its second use.
+const BLOCK: usize = 64 << 10;
+
+/// The payload reader. It hashes every byte once, in order: the fields up
+/// to each stored body when that body is read, the body block by block as
+/// it is copied out, and the rest in [`R::checksum`].
 struct R<'a> {
     buf: &'a [u8],
     pos: usize,
+    sum: Checksum,
+    /// Bytes before this offset have been fed to `sum`.
+    hashed: usize,
 }
 
 impl<'a> R<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        R {
+            buf,
+            pos: 0,
+            sum: Checksum::new(),
+            hashed: 0,
+        }
+    }
+    fn hash_to(&mut self, end: usize) {
+        self.sum.update(&self.buf[self.hashed..end]);
+        self.hashed = end;
+    }
+    /// The checksum of the whole payload, however far parsing got.
+    fn checksum(mut self) -> u64 {
+        self.hash_to(self.buf.len());
+        self.sum.finish()
+    }
+    /// Copies out `body`, the bytes just taken, hashing it on the way.
+    fn copy_body(&mut self, body: &[u8]) -> Vec<u8> {
+        self.hash_to(self.pos - body.len());
+        let mut out = Vec::with_capacity(body.len());
+        for block in body.chunks(BLOCK) {
+            self.sum.update(block);
+            out.extend_from_slice(block);
+        }
+        self.hashed = self.pos;
+        out
+    }
+    /// `count` capped at the number of `min_len`-byte records left, for
+    /// reserving space before the records are read.
+    fn bounded(&self, count: usize, min_len: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / min_len)
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], ContainerError> {
         let end = self.pos.checked_add(n).ok_or(ContainerError::Truncated)?;
         if end > self.buf.len() {
@@ -331,6 +443,11 @@ impl Recording {
 
     /// Parses a container, verifying checksum and structure.
     ///
+    /// One pass over the payload parses it and computes its checksum; GRZ
+    /// bodies are decoded only once the checksum has matched, so a
+    /// corrupt container fails with [`ContainerError::ChecksumMismatch`]
+    /// whatever else is wrong with it.
+    ///
     /// # Errors
     ///
     /// Returns [`ContainerError`] on any structural or integrity problem;
@@ -345,14 +462,20 @@ impl Recording {
             return Err(ContainerError::BadVersion(version));
         }
         let expected = u64::from_le_bytes(bytes[8..16].try_into().expect("len"));
-        let payload = &bytes[16..];
-        if checksum(payload) != expected {
+        let mut r = R::new(&bytes[16..]);
+        let parsed = Recording::parse(&mut r);
+        if r.checksum() != expected {
             return Err(ContainerError::ChecksumMismatch);
         }
-        let mut r = R {
-            buf: payload,
-            pos: 0,
-        };
+        let (mut rec, grz) = parsed?;
+        for (i, body) in grz {
+            rec.dumps[i].bytes = grz_decompress(body)?;
+        }
+        Ok(rec)
+    }
+
+    /// Parses the payload behind `r`.
+    fn parse<'a>(r: &mut R<'a>) -> Result<Parsed<'a>, ContainerError> {
         let mut meta = RecordingMeta::new("", "", 0, "");
         meta.family = r.str()?;
         meta.sku_name = r.str()?;
@@ -364,7 +487,7 @@ impl Recording {
         meta.modeled_gpu_mem_bytes = r.u64()?;
 
         let n_actions = r.u32()? as usize;
-        let mut actions = Vec::with_capacity(n_actions.min(1 << 20));
+        let mut actions = Vec::with_capacity(r.bounded(n_actions, 8 + 1));
         for _ in 0..n_actions {
             let min_interval_ns = r.u64()?;
             let tag = r.u8()?;
@@ -389,7 +512,7 @@ impl Recording {
                 5 => {
                     let va = r.u64()?;
                     let n = r.u32()? as usize;
-                    let mut pte_flags = Vec::with_capacity(n.min(1 << 20));
+                    let mut pte_flags = Vec::with_capacity(r.bounded(n, 2));
                     for _ in 0..n {
                         pte_flags.push(r.u16()?);
                     }
@@ -426,7 +549,8 @@ impl Recording {
         }
 
         let n_dumps = r.u32()? as usize;
-        let mut dumps = Vec::with_capacity(n_dumps.min(1 << 16));
+        let mut dumps = Vec::with_capacity(r.bounded(n_dumps, DUMP_RECORD));
+        let mut grz = Vec::new();
         for _ in 0..n_dumps {
             let va = r.u64()?;
             let len = r.u32()? as usize;
@@ -434,28 +558,40 @@ impl Recording {
             let body_len = r.u32()? as usize;
             let body = r.take(body_len)?;
             let bytes = match coding {
-                STORED if body.len() == len => body.to_vec(),
-                // The claim is bounded by the body before it is allocated.
-                GRZ if grz_len(body)? == len => grz_decompress(body)?,
+                STORED if body.len() == len => r.copy_body(body),
+                // The claim is bounded by the body, and decoding waits
+                // for the checksum.
+                GRZ if grz_len(body)? == len => {
+                    grz.push((dumps.len(), body));
+                    Vec::new()
+                }
                 STORED | GRZ => return Err(ContainerError::Truncated),
                 other => return Err(ContainerError::BadCoding(other)),
             };
             dumps.push(Dump { va, bytes });
         }
 
-        Ok(Recording {
-            meta,
-            actions,
-            dumps,
-            inputs,
-            outputs,
-        })
+        Ok((
+            Recording {
+                meta,
+                actions,
+                dumps,
+                inputs,
+                outputs,
+            },
+            grz,
+        ))
     }
 }
+
+/// A parsed recording whose GRZ-coded dumps are still empty, with the
+/// index and (length-checked) stream of each.
+type Parsed<'a> = (Recording, Vec<(usize, &'a [u8])>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::max_expansion;
 
     fn sample() -> Recording {
         let mut rec = Recording::new(RecordingMeta::new("mali", "G71", 0x6956_0010, "vecadd"));
@@ -551,19 +687,53 @@ mod tests {
     #[test]
     fn tampering_is_detected() {
         let rec = sample();
-        let mut bytes = rec.to_bytes();
-        // Flip a payload byte: checksum must catch it.
-        let n = bytes.len();
-        bytes[n - 1] ^= 0x01;
-        assert_eq!(
-            Recording::from_bytes(&bytes),
-            Err(ContainerError::ChecksumMismatch)
-        );
+        let bytes = rec.to_bytes();
+        let m = &rec.meta;
+        // Header, the three strings, four counters and the action count,
+        // then the first action's interval.
+        let tag = 16
+            + [&m.family, &m.sku_name, &m.label]
+                .map(|s| 4 + s.len())
+                .iter()
+                .sum::<usize>()
+            + 4 * 3
+            + 8 * 2
+            + 4
+            + 8;
+        assert_eq!(bytes[tag], rec.actions[0].action.tag());
+        let body_len = dump_records(&rec, &bytes)[0] + 13;
+        // Flips that also break parsing must still read as corruption.
+        let flips = [(bytes.len() - 1, 0x01), (tag, 0xF0), (body_len + 3, 0x80)];
+        for (at, x) in flips {
+            let mut tampered = bytes.clone();
+            tampered[at] ^= x;
+            assert_eq!(
+                Recording::from_bytes(&tampered),
+                Err(ContainerError::ChecksumMismatch),
+                "flip at {at}"
+            );
+        }
     }
 
-    /// Bytes of a dump record before its body: `va`, `len`, coding and
-    /// body length.
-    const DUMP_HEADER: usize = 8 + 4 + 1 + 4;
+    proptest::proptest! {
+        #[test]
+        fn prop_streamed_checksum_matches_one_call(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(0usize..600, 0..12)
+        ) {
+            // Cut points anywhere, so pieces split words and rounds, and
+            // some pieces are empty or span several rounds.
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut sum = Checksum::new();
+            let mut from = 0;
+            for c in cuts.into_iter().chain([data.len()]) {
+                sum.update(&data[from..c]);
+                from = c;
+            }
+            assert_eq!(sum.finish(), checksum(&data));
+        }
+    }
 
     /// Deterministic incompressible bytes.
     fn noise(seed: u64, n: usize) -> Vec<u8> {
@@ -591,7 +761,7 @@ mod tests {
         for _ in &rec.dumps {
             records.push(at);
             let body = u32::from_le_bytes(bytes[at + 13..at + 17].try_into().unwrap());
-            at += DUMP_HEADER + body as usize;
+            at += DUMP_RECORD + body as usize;
         }
         assert_eq!(at, bytes.len());
         records
@@ -640,7 +810,7 @@ mod tests {
         let at = dump_records(&rec, &bytes);
         let (stored, grz) = (at[0], at[1]);
         assert_eq!((bytes[stored + 12], bytes[grz + 12]), (STORED, GRZ));
-        let grz_body = grz + DUMP_HEADER;
+        let grz_body = grz + DUMP_RECORD;
 
         type Tamper<'a> = &'a dyn Fn(&mut [u8]);
         let cases: [(&str, Tamper, ContainerError); 6] = [
@@ -691,6 +861,26 @@ mod tests {
                 hostile.len()
             );
         }
+
+        // Unsealed, a GRZ claim that the body could expand to and `len`
+        // agrees with: the checksum fails before anything is decoded.
+        let mut hostile = bytes.clone();
+        let body_len = u32::from_le_bytes(bytes[grz + 13..grz + 17].try_into().unwrap());
+        let claim = max_expansion(body_len as usize - 8) as u32;
+        assert!(claim as usize > hostile.len());
+        put_u32(&mut hostile, grz + 8, claim);
+        put_u32(&mut hostile, grz_body + 4, claim);
+        gr_testalloc::reset();
+        assert_eq!(
+            Recording::from_bytes(&hostile),
+            Err(ContainerError::ChecksumMismatch)
+        );
+        assert!(
+            gr_testalloc::largest() <= hostile.len(),
+            "unsealed claim: allocated {} for a {}-byte container",
+            gr_testalloc::largest(),
+            hostile.len()
+        );
     }
 
     proptest::proptest! {
@@ -725,7 +915,7 @@ mod tests {
                 assert_eq!(bytes[at + 12], if shrinks { GRZ } else { STORED });
             }
             let no_dumps = Recording { dumps: Vec::new(), ..rec.clone() };
-            let bound = no_dumps.to_bytes().len() + rec.dump_bytes() + DUMP_HEADER * rec.dumps.len();
+            let bound = no_dumps.to_bytes().len() + rec.dump_bytes() + DUMP_RECORD * rec.dumps.len();
             assert!(bytes.len() <= bound, "{} > {bound}", bytes.len());
         }
     }

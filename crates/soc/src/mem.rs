@@ -54,6 +54,10 @@ impl std::error::Error for MemError {}
 pub struct PhysMem {
     base: u64,
     bytes: Vec<u8>,
+    /// One bit per page, set by every method that can change the page.
+    /// A page whose bit is clear still holds its power-on zeroes, so
+    /// zero-filling it is skipped (see [`PhysMem::fill`]).
+    dirty: Vec<u64>,
     /// GPU epoch: bumped on every GPU reset and address-space switch (see
     /// [`SharedMem::gpu_epoch`]). Kept under the DRAM lock so one handle
     /// carries it to every device model and replayer on the machine.
@@ -83,6 +87,7 @@ impl PhysMem {
         PhysMem {
             base,
             bytes,
+            dirty: vec![0; (size / PAGE_SIZE).div_ceil(64)],
             gpu_epoch: 0,
         }
     }
@@ -115,6 +120,18 @@ impl PhysMem {
         }
     }
 
+    /// [`PhysMem::offset`] of a range about to be changed: marks every
+    /// page it touches dirty.
+    fn offset_mut(&mut self, pa: u64, len: usize) -> Result<usize, MemError> {
+        let off = self.offset(pa, len)?;
+        if len > 0 {
+            for page in off / PAGE_SIZE..=(off + len - 1) / PAGE_SIZE {
+                self.dirty[page / 64] |= 1 << (page % 64);
+            }
+        }
+        Ok(off)
+    }
+
     /// Copies DRAM content at `pa` into `buf`.
     ///
     /// # Errors
@@ -132,7 +149,7 @@ impl PhysMem {
     ///
     /// Returns [`MemError`] when the range is out of bounds.
     pub fn write(&mut self, pa: u64, data: &[u8]) -> Result<(), MemError> {
-        let off = self.offset(pa, data.len())?;
+        let off = self.offset_mut(pa, data.len())?;
         self.bytes[off..off + data.len()].copy_from_slice(data);
         Ok(())
     }
@@ -179,12 +196,30 @@ impl PhysMem {
 
     /// Fills `[pa, pa+len)` with `byte`.
     ///
+    /// Zero-filling skips pages that were never changed: they still hold
+    /// the zeroes [`PhysMem::new`] started with, and writing zeroes there
+    /// would only make the host back them with memory.
+    ///
     /// # Errors
     ///
     /// Returns [`MemError`] when out of bounds.
     pub fn fill(&mut self, pa: u64, len: usize, byte: u8) -> Result<(), MemError> {
+        if byte != 0 {
+            let off = self.offset_mut(pa, len)?;
+            self.bytes[off..off + len].fill(byte);
+            return Ok(());
+        }
         let off = self.offset(pa, len)?;
-        self.bytes[off..off + len].fill(byte);
+        let end = off + len;
+        let mut at = off;
+        while at < end {
+            let page = at / PAGE_SIZE;
+            let next = ((page + 1) * PAGE_SIZE).min(end);
+            if self.dirty[page / 64] & (1 << (page % 64)) != 0 {
+                self.bytes[at..next].fill(0);
+            }
+            at = next;
+        }
         Ok(())
     }
 
@@ -199,13 +234,14 @@ impl PhysMem {
     }
 
     /// Mutable borrow of the raw range (zero-copy writers; pair with
-    /// [`SharedMem::write_guard`]).
+    /// [`SharedMem::write_guard`]). Marks the range's pages changed
+    /// whether or not the caller writes them.
     ///
     /// # Errors
     ///
     /// Returns [`MemError`] when out of bounds.
     pub fn slice_mut(&mut self, pa: u64, len: usize) -> Result<&mut [u8], MemError> {
-        let off = self.offset(pa, len)?;
+        let off = self.offset_mut(pa, len)?;
         Ok(&mut self.bytes[off..off + len])
     }
 }
@@ -522,5 +558,89 @@ mod tests {
         g.read(PAGE_SIZE as u64, &mut buf).unwrap();
         assert_eq!(&buf, b"def");
         assert!(g.read(4 * PAGE_SIZE as u64, &mut buf).is_err());
+    }
+
+    /// Deterministic non-zero-heavy bytes.
+    fn pattern(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        // Every mutating entry point against a plain byte vector: a page
+        // any of them changed must be zeroed by a later zero-fill.
+        #[test]
+        fn prop_every_write_path_keeps_zero_fill_exact(
+            ops in proptest::collection::vec((0u8..10, (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>())), 1..40)
+        ) {
+            const BASE: u64 = 0x4000;
+            const SIZE: usize = 6 * PAGE_SIZE;
+            let shared = SharedMem::new(PhysMem::new(BASE, SIZE));
+            let mut model = vec![0u8; SIZE];
+            for (kind, (a, b)) in ops {
+                let at = a as usize % SIZE;
+                let len = (b as usize % (2 * PAGE_SIZE)).min(SIZE - at);
+                let (pa, end) = (BASE + at as u64, at + len);
+                let data = pattern(b, len);
+                let byte = (b >> 40) as u8 | 1;
+                let word = (a >> 8) as usize % (SIZE - 7);
+                let wpa = BASE + word as u64;
+                match kind {
+                    0 => {
+                        shared.write(pa, &data).unwrap();
+                        model[at..end].copy_from_slice(&data);
+                    }
+                    1 => {
+                        shared.write_u32(wpa, b as u32 | 1).unwrap();
+                        model[word..word + 4].copy_from_slice(&(b as u32 | 1).to_le_bytes());
+                    }
+                    2 => {
+                        shared.write_u64(wpa, b | 1).unwrap();
+                        model[word..word + 8].copy_from_slice(&(b | 1).to_le_bytes());
+                    }
+                    3 | 4 => {
+                        shared.fill(pa, len, 0).unwrap();
+                        model[at..end].fill(0);
+                    }
+                    5 => {
+                        shared.fill(pa, len, byte).unwrap();
+                        model[at..end].fill(byte);
+                    }
+                    6 => {
+                        let mut g = shared.write_guard();
+                        g.slice_mut(pa, len).unwrap().copy_from_slice(&data);
+                        model[at..end].copy_from_slice(&data);
+                    }
+                    7 => {
+                        let mut g = shared.write_guard();
+                        g.write(pa, &data).unwrap();
+                        g.write_u32(wpa, b as u32 | 1).unwrap();
+                        model[at..end].copy_from_slice(&data);
+                        model[word..word + 4].copy_from_slice(&(b as u32 | 1).to_le_bytes());
+                    }
+                    8 => {
+                        let mut g = shared.write_guard();
+                        g.write_u64(wpa, b | 1).unwrap();
+                        g.fill(pa, len, byte).unwrap();
+                        model[word..word + 8].copy_from_slice(&(b | 1).to_le_bytes());
+                        model[at..end].fill(byte);
+                    }
+                    _ => {
+                        shared.write_guard().fill(pa, len, 0).unwrap();
+                        model[at..end].fill(0);
+                    }
+                }
+                shared
+                    .with_slice(BASE, SIZE, |m| assert!(m == &model[..], "op {kind} at {at}+{len}"))
+                    .unwrap();
+            }
+        }
     }
 }

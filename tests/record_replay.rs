@@ -67,6 +67,72 @@ fn v3d_record_replay_roundtrip() {
     replayer.cleanup();
 }
 
+/// §5.1 on the replay path: a replayer on a machine whose DRAM was left
+/// full of stale bytes behaves exactly as on fresh DRAM: outputs
+/// bit-identical to the CPU reference, the same virtual timeline, and the
+/// same bytes in every allocated frame once the replay is done (frames
+/// the replay never wrote read zero on both).
+#[test]
+fn stale_dram_replays_like_fresh_dram() {
+    for (sku, env) in [
+        (&sku::MALI_G71, EnvKind::UserLevel),
+        (&sku::V3D_RPI4, EnvKind::KernelLevel),
+    ] {
+        let mut harness = RecordHarness::new(Machine::new(sku, 31)).unwrap();
+        let recs = harness
+            .record_inference(&models::mnist(), Granularity::WholeNn, 32)
+            .unwrap();
+        harness.finish();
+        let bytes = recs.recordings[0].to_bytes();
+        let input = random_input(recs.net.input_len(), 33);
+        let reference = cpu_ref::cpu_infer(&recs.net, &input);
+
+        let runs: Vec<_> = [None, Some(0xEE)]
+            .into_iter()
+            .map(|stale| {
+                let target = Machine::new(sku, 34);
+                let mem = target.mem().clone();
+                if let Some(byte) = stale {
+                    mem.fill(mem.base(), mem.size(), byte).unwrap();
+                }
+                let mut replayer = Replayer::new(Environment::new(env, target.clone()).unwrap());
+                let id = replayer.load_bytes(&bytes).unwrap();
+                let mut io = ReplayIo::for_recording(replayer.recording(id));
+                io.set_input_f32(0, &input).unwrap();
+                let report = replayer.replay(id, &mut io).unwrap();
+                assert_eq!(
+                    io.output_f32(0).unwrap(),
+                    reference,
+                    "{} stale {stale:?}: bit-identical expected",
+                    sku.name
+                );
+                let frames = target.frames().lock();
+                let image: Vec<(u64, Vec<u8>)> = (mem.base()..mem.end())
+                    .step_by(gr_soc::PAGE_SIZE)
+                    .filter(|&pa| frames.is_allocated(pa))
+                    .map(|pa| (pa, mem.read_vec(pa, gr_soc::PAGE_SIZE).unwrap()))
+                    .collect();
+                drop(frames);
+                replayer.cleanup();
+                ((report.wall, report.startup, report.jobs), image)
+            })
+            .collect();
+        assert_eq!(runs[0].1.len(), runs[1].1.len(), "{}: frames", sku.name);
+        let diff = runs[0].1.iter().zip(&runs[1].1).find(|(a, b)| a != b);
+        assert!(
+            diff.is_none(),
+            "{}: frame {:#x} differs on stale DRAM",
+            sku.name,
+            diff.map_or(0, |(a, _)| a.0)
+        );
+        assert_eq!(
+            runs[0].0, runs[1].0,
+            "{}: stale DRAM moved the timeline",
+            sku.name
+        );
+    }
+}
+
 /// Per-layer recordings replayed in sequence in one session reproduce the
 /// whole network (paper Fig. 4).
 #[test]
